@@ -57,6 +57,7 @@ pub mod delay;
 pub mod firmware;
 pub mod oam;
 pub mod p5;
+pub mod port;
 pub mod rx;
 pub mod stager;
 pub mod stats;
@@ -67,6 +68,7 @@ pub mod word;
 pub use firmware::{Driver, DriverConfig, LinkStats};
 pub use oam::{regs, Interrupt, MmioBus, Oam, OamHandle};
 pub use p5::{DatapathWidth, ReceivedFrame, P5};
+pub use port::{Carriage, LinkCounters, Port};
 pub use stats::StageStats;
 pub use stream::{decap, encap, encap_tagged, RxStage, TxStage};
 pub use tx::TxQueueFull;

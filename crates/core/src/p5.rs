@@ -291,6 +291,25 @@ impl P5 {
         res
     }
 
+    /// Hand one frame to the transmitter: the fused wire fast path when
+    /// it is ready (see [`P5::fused_tx_ready`]), otherwise a staged
+    /// submit of a copy in pool-leased storage.  A refused staged
+    /// descriptor comes back to the caller, counted like any
+    /// [`P5::submit`] refusal; what to do with it is the host's policy.
+    pub fn transmit(
+        &mut self,
+        protocol: u16,
+        payload: &[u8],
+        id: FrameId,
+    ) -> Result<(), TxQueueFull> {
+        if self.fused_submit_wire(protocol, payload, id) {
+            return Ok(());
+        }
+        let mut buf = self.lease_tx_buf();
+        buf.extend_from_slice(payload);
+        self.submit_tagged(protocol, buf, id)
+    }
+
     /// Wire bytes the transmitter has produced since the last call.
     /// Returns without allocating when nothing is pending; pass the `Vec`
     /// back through [`P5::recycle_wire_vec`] to reuse its storage.
@@ -320,10 +339,27 @@ impl P5 {
         out.move_from(&mut self.wire_out, max)
     }
 
-    /// Move up to `max` wire bytes from `src` to the receiver's wire-in
-    /// buffer. Returns bytes moved.
-    pub fn offer_wire_from(&mut self, src: &mut WireBuf, max: usize) -> usize {
-        self.wire_in.move_from(src, max)
+    /// Deliver up to `max` wire octets from `input` to the receiver and
+    /// return how many it took: fused bulk ingest when that path is
+    /// eligible (see [`P5::fused_rx_ready`]), otherwise into the staged
+    /// receiver's wire-in buffer, to be clocked through.  With
+    /// [`P5::transmit`] and [`P5::staged_busy`], this is the one place
+    /// the fused-versus-staged decision is made for a host.
+    pub fn ingest(&mut self, input: &mut WireBuf, max: usize) -> usize {
+        if input.is_empty() {
+            return 0;
+        }
+        match self.fused_ingest_wire(input, max) {
+            Some(n) => n,
+            None => self.wire_in.move_from(input, max),
+        }
+    }
+
+    /// Does the cycle-accurate pipeline hold work that only clocks can
+    /// finish?  The fused paths complete within their calls and never
+    /// need cycles, so a host clocks the device only while this holds.
+    pub fn staged_busy(&self) -> bool {
+        !self.tx.idle() || !self.rx.idle() || !self.wire_in.is_empty()
     }
 
     pub fn has_wire_out(&self) -> bool {

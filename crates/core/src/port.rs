@@ -1,0 +1,309 @@
+//! [`Port`]: the one host-side core every link shell is built on, and
+//! [`Carriage`]: the one self-carried wire between two ports.
+//!
+//! The paper's P⁵ is a single device: the host writes frames into a
+//! bounded shared-memory TX queue and the PHY side moves wire octets.
+//! Every host around it needs the same loop, so it lives here once:
+//!
+//! ```text
+//!   offer() ─→ [Offer admission vs carrier backlog] ─→ FIFO ─→ drain()
+//!                        │ fast path (FIFO empty)               │
+//!                        └──────────→ P5::transmit ←────────────┘
+//!                                          │ Err(TxQueueFull) → carrier:
+//!                                          │   reject() or requeue()
+//!   collect() ←─ P5 deliveries ←─ P5::ingest ←─ wire from the carrier
+//! ```
+//!
+//! What stays with each carrier is only what is really its own: the
+//! backlog figure it passes in (its line or socket backlog), its
+//! refusal policy (the fleet drops into `rejected`, a transport engine
+//! requeues control frames) and its wire — a [`Carriage`], a
+//! channelized envelope, or a socket.
+//!
+//! Conservation holds per port at every instant:
+//! `offered == accepted + shed + rejected + queued`.
+
+use std::collections::VecDeque;
+
+use p5_fault::{FaultPlan, FaultStats};
+use p5_sonet::{ByteLink, OcPath};
+use p5_stream::{Offer, WireBuf};
+
+use crate::p5::{ReceivedFrame, FUSED_WIRE_HIGH_WATER, P5};
+use crate::tx::TxQueueFull;
+
+/// Flow accounting at a host boundary: one [`Port`]'s counters, or a
+/// duplex link's (the sum of its two ports).  Before a drain,
+/// `offered == accepted + shed + rejected + queued`; after one, on a
+/// clean line, `delivered == accepted`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkCounters {
+    /// Frames offered for transmission.
+    pub offered: u64,
+    /// Frames that entered the device (fused fast path or the staged
+    /// bounded TX queue).
+    pub accepted: u64,
+    /// Frames refused at the bounded FIFO.
+    pub shed: u64,
+    /// Frames the device's bounded TX queue refused and the carrier
+    /// dropped — each one is counted by the device in `TX_REJECTS`.
+    pub rejected: u64,
+    /// Frames delivered out of the device.
+    pub delivered: u64,
+    /// Payload octets delivered.
+    pub delivered_bytes: u64,
+}
+
+impl LinkCounters {
+    /// Accumulate another port's or link's counters.
+    pub fn add(&mut self, o: &LinkCounters) {
+        self.offered += o.offered;
+        self.accepted += o.accepted;
+        self.shed += o.shed;
+        self.rejected += o.rejected;
+        self.delivered += o.delivered;
+        self.delivered_bytes += o.delivered_bytes;
+    }
+}
+
+/// A device plus the host side of its shared memory: a bounded FIFO of
+/// frames waiting for a device slot, [`Offer`] admission against a
+/// backlog figure the carrier supplies, delivery collection and flow
+/// counters.
+///
+/// The carrier's backlog is the wire it has accepted from this device
+/// but not yet moved on.  At or above [`FUSED_WIRE_HIGH_WATER`] the port
+/// holds its FIFO (blocked, not dropped) and new offers queue behind it.
+pub struct Port {
+    dev: P5,
+    fifo: VecDeque<(u16, Vec<u8>)>,
+    depth: usize,
+    flow: LinkCounters,
+}
+
+impl Port {
+    /// A port whose FIFO admits up to `depth` frames.  Depth 0 gives a
+    /// port that only takes frames the device accepts immediately.
+    pub fn new(dev: P5, depth: usize) -> Self {
+        Port {
+            dev,
+            fifo: VecDeque::new(),
+            depth,
+            flow: LinkCounters::default(),
+        }
+    }
+
+    pub fn device(&self) -> &P5 {
+        &self.dev
+    }
+
+    pub fn device_mut(&mut self) -> &mut P5 {
+        &mut self.dev
+    }
+
+    pub fn set_depth(&mut self, depth: usize) {
+        self.depth = depth;
+    }
+
+    pub fn flow(&self) -> LinkCounters {
+        self.flow
+    }
+
+    /// Frames admitted but not yet in the device.
+    pub fn queued(&self) -> usize {
+        self.fifo.len()
+    }
+
+    /// Nothing queued, nothing produced awaiting the carrier, and no
+    /// staged work left to clock.
+    pub fn is_idle(&self) -> bool {
+        self.fifo.is_empty() && !self.dev.has_wire_out() && !self.dev.staged_busy()
+    }
+
+    /// Offer one frame.  With nothing queued ahead and the carrier
+    /// below the high-water mark the device takes it now
+    /// ([`Offer::Accepted`]); otherwise it queues ([`Offer::Queued`]) or,
+    /// with the FIFO full, is shed ([`Offer::Shed`]).  A frame the
+    /// device refuses comes back as `Err`: the carrier settles it with
+    /// [`Port::reject`] or [`Port::requeue`].
+    pub fn offer(
+        &mut self,
+        protocol: u16,
+        payload: &[u8],
+        backlog: usize,
+    ) -> Result<Offer, TxQueueFull> {
+        self.flow.offered += 1;
+        if self.fifo.is_empty() && backlog < FUSED_WIRE_HIGH_WATER {
+            self.dev.transmit(protocol, payload, 0)?;
+            self.flow.accepted += 1;
+            return Ok(Offer::Accepted);
+        }
+        if self.fifo.len() >= self.depth {
+            self.flow.shed += 1;
+            return Ok(Offer::Shed);
+        }
+        let mut buf = self.dev.lease_tx_buf();
+        buf.extend_from_slice(payload);
+        self.fifo.push_back((protocol, buf));
+        Ok(Offer::Queued)
+    }
+
+    /// Queue a frame admitted elsewhere (a control plane's own output)
+    /// behind the FIFO, past the depth bound: such frames are never
+    /// shed.
+    pub fn push(&mut self, protocol: u16, payload: Vec<u8>) {
+        self.flow.offered += 1;
+        self.fifo.push_back((protocol, payload));
+    }
+
+    /// Move queued frames into the device, in order, while the carrier
+    /// is below the high-water mark.  Stops at the first frame the
+    /// device refuses and hands it back for the carrier's policy.
+    pub fn drain(&mut self, backlog: usize) -> Result<(), TxQueueFull> {
+        if backlog >= FUSED_WIRE_HIGH_WATER {
+            return Ok(());
+        }
+        while let Some((protocol, payload)) = self.fifo.pop_front() {
+            let res = self.dev.transmit(protocol, &payload, 0);
+            self.dev.buf_pool().recycle_vec(payload);
+            res?;
+            self.flow.accepted += 1;
+        }
+        Ok(())
+    }
+
+    /// Drop a refused frame: counted in `rejected`, storage recycled.
+    pub fn reject(&mut self, refused: TxQueueFull) {
+        self.flow.rejected += 1;
+        self.dev.buf_pool().recycle_vec(refused.0.payload);
+    }
+
+    /// Put a refused frame back at the head of the FIFO, to retry once
+    /// the device has drained.
+    pub fn requeue(&mut self, refused: TxQueueFull) {
+        let TxQueueFull(desc) = refused;
+        self.fifo.push_front((desc.protocol, desc.payload));
+    }
+
+    /// Deliver up to `max` octets of `wire` into the device (see
+    /// [`P5::ingest`]).
+    pub fn ingest(&mut self, wire: &mut WireBuf, max: usize) -> usize {
+        self.dev.ingest(wire, max)
+    }
+
+    /// Hand every frame the device delivered to `each`, in order,
+    /// counting it into `delivered`/`delivered_bytes`.  Storage `each`
+    /// hands back is recycled into the device pool.  Returns the number
+    /// of frames collected.
+    pub fn collect(&mut self, mut each: impl FnMut(ReceivedFrame) -> Option<Vec<u8>>) -> usize {
+        let frames = self.dev.take_received();
+        let n = frames.len();
+        for f in frames {
+            self.flow.delivered += 1;
+            self.flow.delivered_bytes += f.payload.len() as u64;
+            if let Some(buf) = each(f) {
+                self.dev.recycle_rx_payload(buf);
+            }
+        }
+        n
+    }
+}
+
+/// One direction of self-carried wire: the source device's octets go
+/// through an optional STM-N path, then an optional fault plan, into a
+/// backlog awaiting the sink [`Port`].
+pub struct Carriage {
+    /// Boxed: an `OcPath` holds whole-frame buffers.
+    path: Option<Box<OcPath>>,
+    plan: Option<FaultPlan>,
+    /// Carried octets not yet taken by the sink (the backlog figure).
+    wire: WireBuf,
+    scratch: Vec<u8>,
+}
+
+impl Carriage {
+    pub fn new(path: Option<OcPath>, plan: Option<FaultPlan>) -> Self {
+        Carriage {
+            path: path.map(Box::new),
+            plan,
+            wire: WireBuf::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Octets carried but not yet delivered to the sink.
+    pub fn backlog(&self) -> usize {
+        self.wire.len()
+    }
+
+    pub fn plan(&self) -> Option<&FaultPlan> {
+        self.plan.as_ref()
+    }
+
+    /// Replace (or, with `None`, clear) the fault plan mid-run.
+    pub fn set_plan(&mut self, plan: Option<FaultPlan>) {
+        self.plan = plan;
+    }
+
+    /// Injected faults: the plan's plus the STM-N path channel's.
+    pub fn fault_stats(&self) -> FaultStats {
+        let mut s = self.plan.as_ref().map(FaultPlan::stats).unwrap_or_default();
+        if let Some(path) = &self.path {
+            s.absorb(&path.channel().plan().stats());
+        }
+        s
+    }
+
+    /// Carry what `src` has produced: through the STM-N path (running
+    /// enough line frames to flush it), then the fault plan, into the
+    /// backlog.
+    pub fn carry(&mut self, src: &mut P5) {
+        let Some(path) = &mut self.path else {
+            if self.plan.is_none() {
+                src.drain_wire_into(&mut self.wire);
+            } else if src.has_wire_out() {
+                let bytes = src.take_wire_out();
+                self.impair(&bytes);
+                src.recycle_wire_vec(bytes);
+            }
+            return;
+        };
+        if src.has_wire_out() {
+            let bytes = src.take_wire_out();
+            path.send(&bytes);
+            src.recycle_wire_vec(bytes);
+        }
+        let k = path.frames_to_drain();
+        if k > 0 {
+            // +2: delineation hunts across a frame boundary.
+            path.run_frames(k + 2);
+        }
+        let out = path.recv();
+        self.impair(&out);
+    }
+
+    /// Append one transfer through the fault plan: whole-transfer loss
+    /// first, then the corruption pipeline.  Bytes recovered by a
+    /// carrier of its own (a channelized envelope) enter here.
+    pub fn impair(&mut self, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        match &mut self.plan {
+            None => self.wire.push_slice(bytes),
+            Some(plan) => {
+                if plan.lose_transfer() {
+                    return;
+                }
+                self.scratch.clear();
+                plan.corrupt_into(bytes, &mut self.scratch);
+                self.wire.push_slice(&self.scratch);
+            }
+        }
+    }
+
+    /// Deliver up to `max` backlog octets into the sink port.
+    pub fn deliver(&mut self, dst: &mut Port, max: usize) -> usize {
+        dst.ingest(&mut self.wire, max)
+    }
+}

@@ -79,12 +79,10 @@ impl WordStream for TxStage {
     fn offer(&mut self, input: &mut WireBuf) -> Poll {
         let mut accepted = 0;
         while input.frame_ready() {
-            // Fused fast path: staged pipeline drained, plain PPP duty,
-            // wire headroom — the frame goes straight to wire bytes in
-            // one call, skipping the per-word stage hops.
-            let fused = self.dev.fused_tx_ready();
-            if !fused && self.dev.tx.control.queue_free() == 0 {
-                // Bounded shared-memory queue full: deassert ready.
+            // A full bounded shared-memory queue means the staged
+            // pipeline is busy, so the fused path is parked too:
+            // deassert ready.
+            if self.dev.tx.control.queue_free() == 0 {
                 self.stats.stall_cycles += 1;
                 return if accepted == 0 {
                     Poll::Blocked
@@ -92,25 +90,19 @@ impl WordStream for TxStage {
                     Poll::Ready(accepted)
                 };
             }
-            let meta = input
-                .pop_frame_into(&mut self.scratch)
-                .expect("frame_ready() guarantees a complete frame");
+            let Some(meta) = input.pop_frame_into(&mut self.scratch) else {
+                break;
+            };
             accepted += meta.len;
             self.stats.words_in += 1;
             if meta.abort {
                 continue; // an aborted frame never reaches the queue
             }
             if let Some((protocol, payload)) = decap(&self.scratch) {
-                if fused && self.dev.fused_submit_wire(protocol, payload, meta.id) {
-                    continue;
-                }
-                // Staged path: payload storage comes from the device
-                // pool, so steady-state traffic recycles instead of
-                // allocating per frame.
-                let mut buf = self.dev.lease_tx_buf();
-                buf.extend_from_slice(payload);
+                // Fused straight to wire bytes when the device is clear,
+                // otherwise into the queue slot checked above.
                 self.dev
-                    .submit_tagged(protocol, buf, meta.id)
+                    .transmit(protocol, payload, meta.id)
                     .expect("queue_free checked above");
             }
         }
@@ -192,7 +184,7 @@ impl StreamStage for TxStage {
 
 /// Receive half of a P⁵ as a stage: raw wire octets in, tagged
 /// `[proto, payload]` frames out.  `offer` clocks the device while it
-/// chews the delivered bytes (up to `burst` words per call).
+/// chews the delivered bytes (up to `2 * burst` clocks per call).
 pub struct RxStage {
     dev: P5,
     burst: u64,
@@ -230,18 +222,15 @@ impl RxStage {
 
 impl WordStream for RxStage {
     fn offer(&mut self, input: &mut WireBuf) -> Poll {
-        // Fused fast path: the staged pipeline is drained, so delineate
-        // the delivered bytes in bulk (flag-free runs move as single
-        // copies) instead of clocking them through a word at a time.
-        if let Some(n) = self.dev.fused_ingest_wire(input, FUSED_WIRE_HIGH_WATER) {
-            self.stats.words_in += u64::from(n > 0);
-            return Poll::Ready(n);
-        }
-        let max = (self.burst as usize) * self.dev.width().bytes();
-        let n = self.dev.offer_wire_from(input, max);
+        // Fused bulk delineation when the staged pipeline is drained
+        // (flag-free runs move as single copies); otherwise the bytes
+        // queue at the staged receiver's wire-in, which holds at most
+        // the high-water mark so backpressure still reaches upstream.
+        let room = FUSED_WIRE_HIGH_WATER.saturating_sub(self.dev.wire_in_pending());
+        let n = self.dev.ingest(input, room);
         self.stats.words_in += u64::from(n > 0);
-        // Clock the receiver through what it was just handed (bounded:
-        // destuffing shrinks, so 2x the word budget always suffices).
+        // Clock the staged receiver through what it holds (bounded:
+        // destuffing shrinks, so 2x the word budget chews a burst).
         let mut budget = 2 * self.burst;
         while self.dev.wire_in_pending() > 0 && budget > 0 {
             self.dev.clock();

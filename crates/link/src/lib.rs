@@ -27,17 +27,19 @@
 //! [`LinkBuilder::build`] yields a simplex [`Link`] (one `Stack`:
 //! `TxStage → [OcPathStage] → [FaultStage] → RxStage`);
 //! [`LinkBuilder::build_duplex`] yields a [`DuplexLink`] — two devices
-//! and a seeded, optionally-impaired ferry between them — for the
+//! and a seeded, optionally-impaired carriage between them — for the
 //! control-plane (LCP/IPCP) scenarios that need traffic both ways.
 //!
 //! The raw `stack!` macro remains the supported low-level escape hatch
 //! for custom topologies; this crate is the paved road.
 
 use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-use p5_core::{decap, encap, DatapathWidth, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5};
+use p5_core::{
+    decap, encap, Carriage, DatapathWidth, Port, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5,
+};
 use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStage, FaultStats};
 use p5_ppp::NegotiationProfile;
-use p5_sonet::{BitErrorChannel, ByteLink, OcPath, OcPathStage, StmLevel};
+use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel};
 use p5_stream::{Offer, SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
 use p5_xport::{LinkEngine, SessionDriver, Transport};
 use std::error::Error;
@@ -188,22 +190,22 @@ impl LinkBuilder {
         Ok((bit, structural))
     }
 
-    fn new_device(&self, idle_fill: bool) -> (P5, OamHandle) {
+    fn new_device(&self, idle_fill: bool) -> P5 {
         let mut dev = P5::new(self.width_or_default());
         dev.tx.escape.idle_fill = idle_fill;
         if let Some(rec) = &self.trace {
             dev.set_trace(Box::new(rec.clone()));
         }
-        let oam = dev.oam.clone();
-        (dev, oam)
+        dev
     }
 
     /// One transmit device, one receive device, one `Stack` between
     /// them, assembled with the canonical line-rate clocking recipe.
     pub fn build(self) -> Result<Link, LinkError> {
         let (bit, structural) = self.split_fault()?;
-        let (tx, tx_oam) = self.new_device(self.sonet.is_some());
-        let (rx, rx_oam) = self.new_device(false);
+        let tx = self.new_device(self.sonet.is_some());
+        let rx = self.new_device(false);
+        let (tx_oam, rx_oam) = (tx.oam.clone(), rx.oam.clone());
         let mut stages: Vec<Box<dyn StreamStage>> = Vec::new();
         match self.sonet {
             Some(level) => {
@@ -261,16 +263,14 @@ impl LinkBuilder {
         stage
     }
 
-    /// Two devices and a seeded ferry between them, for control-plane
+    /// Two devices and a seeded carriage between them, for control-plane
     /// scenarios (LCP/IPCP) where traffic flows both ways.  The fault
     /// plan, if any, is forked per direction; with [`LinkBuilder::sonet`]
     /// each direction carries its own STM-N path.
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
         let (bit, structural) = self.split_fault()?;
         let idle_fill = self.sonet.is_some();
-        let (a, a_oam) = self.new_device(idle_fill);
-        let (b, b_oam) = self.new_device(idle_fill);
-        let mk_ferry = |lane: u64| -> Ferry {
+        let carriage = |lane: u64| {
             let path = self.sonet.map(|level| {
                 let channel = match &bit {
                     Some(plan) => BitErrorChannel::from_plan(plan.fork(lane)),
@@ -278,19 +278,13 @@ impl LinkBuilder {
                 };
                 OcPath::new(level, channel)
             });
-            Ferry {
-                path,
-                plan: structural.as_ref().map(|p| p.fork(lane)),
-                scratch: Vec::new(),
-            }
+            Carriage::new(path, structural.as_ref().map(|p| p.fork(lane)))
         };
-        let ab = mk_ferry(0);
-        let ba = mk_ferry(1);
         Ok(DuplexLink {
-            a: LinkEnd { p5: a, oam: a_oam },
-            b: LinkEnd { p5: b, oam: b_oam },
-            ab,
-            ba,
+            a: LinkEnd::new(self.new_device(idle_fill)),
+            b: LinkEnd::new(self.new_device(idle_fill)),
+            ab: carriage(0),
+            ba: carriage(1),
         })
     }
 
@@ -379,29 +373,14 @@ impl Link {
     /// registers — the "counted drops" half of the paper's no-silent-
     /// corruption contract.
     pub fn rx_errors(&self) -> u64 {
-        let bus = self.rx_oam();
-        u64::from(
-            bus.read(regs::FCS_ERRORS)
-                + bus.read(regs::ABORTS)
-                + bus.read(regs::RUNTS)
-                + bus.read(regs::GIANTS)
-                + bus.read(regs::HEADER_ERRORS)
-                + bus.read(regs::ADDR_MISMATCHES),
-        )
+        self.health_counters().rx_errors
     }
 
     /// The health-relevant OAM counters in one read — the raw inputs a
     /// health scorer (`p5::obs::HealthSample`) windows into per-link
     /// verdicts.  Reads both ends' register buses; monotone.
     pub fn health_counters(&self) -> HealthCounters {
-        let rx = self.rx_oam();
-        let tx = self.tx_oam();
-        HealthCounters {
-            rx_frames: u64::from(rx.read(regs::RX_FRAMES)),
-            rx_errors: self.rx_errors(),
-            tx_frames: u64::from(tx.read(regs::TX_FRAMES)),
-            tx_rejects: u64::from(tx.read(regs::TX_REJECTS)),
-        }
+        HealthCounters::read(&self.rx_oam(), &self.tx_oam())
     }
 
     /// Per-stage flow counters (name, stats) in pipeline order.
@@ -454,114 +433,97 @@ pub struct HealthCounters {
     pub tx_rejects: u64,
 }
 
-/// One side of a [`DuplexLink`]: a device plus its OAM handle, kept
-/// reachable after the device is wired up.
+impl HealthCounters {
+    /// Read the receive side's counters from `rx` and the transmit
+    /// side's from `tx` (one end of a duplex link passes its own OAM
+    /// block twice).
+    pub fn read(rx: &Oam, tx: &Oam) -> Self {
+        let errors = [
+            regs::FCS_ERRORS,
+            regs::ABORTS,
+            regs::RUNTS,
+            regs::GIANTS,
+            regs::HEADER_ERRORS,
+            regs::ADDR_MISMATCHES,
+        ];
+        HealthCounters {
+            rx_frames: u64::from(rx.read(regs::RX_FRAMES)),
+            rx_errors: errors.iter().map(|&r| u64::from(rx.read(r))).sum(),
+            tx_frames: u64::from(tx.read(regs::TX_FRAMES)),
+            tx_rejects: u64::from(tx.read(regs::TX_REJECTS)),
+        }
+    }
+}
+
+/// One side of a [`DuplexLink`]: a [`Port`] whose FIFO depth is 0, so
+/// a frame either enters the device now or is refused.
 pub struct LinkEnd {
-    pub p5: P5,
-    oam: OamHandle,
+    port: Port,
 }
 
 impl LinkEnd {
+    fn new(dev: P5) -> Self {
+        LinkEnd {
+            port: Port::new(dev, 0),
+        }
+    }
+
+    pub fn device(&self) -> &P5 {
+        self.port.device()
+    }
+
+    pub fn device_mut(&mut self) -> &mut P5 {
+        self.port.device_mut()
+    }
+
+    /// Hand one frame to the device: straight to wire bytes when the
+    /// device is clear, otherwise into its bounded TX queue, which
+    /// refuses with the descriptor handed back when full.
     pub fn submit(&mut self, protocol: u16, payload: Vec<u8>) -> Result<(), TxQueueFull> {
-        self.p5.submit(protocol, payload)
+        let res = self.port.offer(protocol, &payload, 0).map(drop);
+        self.port.device().buf_pool().recycle_vec(payload);
+        res
     }
 
     /// [`LinkEnd::submit`] under the unified admission dialect: the
-    /// device's bounded TX queue either takes the frame now
-    /// ([`Offer::Accepted`]) or refuses it ([`Offer::Rejected`]), never
-    /// blocks.  A refused payload is recycled into the device's buffer
-    /// pool rather than handed back — same contract as the fleet and
-    /// session-driver ingress boundaries.
+    /// device either takes the frame now ([`Offer::Accepted`]) or
+    /// refuses it ([`Offer::Rejected`]), never blocks.  A refused
+    /// payload is recycled into the device's buffer pool rather than
+    /// handed back — same contract as the fleet and session-driver
+    /// ingress boundaries.
     pub fn offer(&mut self, protocol: u16, payload: Vec<u8>) -> Offer {
-        match self.p5.submit(protocol, payload) {
+        match self.submit(protocol, payload) {
             Ok(()) => Offer::Accepted,
-            Err(TxQueueFull(desc)) => {
-                self.p5.buf_pool().recycle_vec(desc.payload);
+            Err(refused) => {
+                self.port.reject(refused);
                 Offer::Rejected
             }
         }
     }
 
     pub fn run(&mut self, cycles: u64) {
-        self.p5.run(cycles);
+        self.port.device_mut().run(cycles);
     }
 
     pub fn take_received(&mut self) -> Vec<ReceivedFrame> {
-        self.p5.take_received()
+        let mut frames = Vec::new();
+        self.port.collect(|f| {
+            frames.push(f);
+            None
+        });
+        frames
     }
 
     /// Register-bus view of this end's OAM block.
     pub fn oam(&self) -> Oam {
-        Oam::new(self.oam.clone())
+        Oam::new(self.device().oam.clone())
     }
 
     /// The health-relevant OAM counters of this end (its own transmit
     /// and receive sides — the duplex peer has its own).
     pub fn health_counters(&self) -> HealthCounters {
         let bus = self.oam();
-        let rx_errors = u64::from(
-            bus.read(regs::FCS_ERRORS)
-                + bus.read(regs::ABORTS)
-                + bus.read(regs::RUNTS)
-                + bus.read(regs::GIANTS)
-                + bus.read(regs::HEADER_ERRORS)
-                + bus.read(regs::ADDR_MISMATCHES),
-        );
-        HealthCounters {
-            rx_frames: u64::from(bus.read(regs::RX_FRAMES)),
-            rx_errors,
-            tx_frames: u64::from(bus.read(regs::TX_FRAMES)),
-            tx_rejects: u64::from(bus.read(regs::TX_REJECTS)),
-        }
-    }
-}
-
-/// One direction of the duplex wire: optional STM-N path, optional
-/// structural fault plan.
-struct Ferry {
-    path: Option<OcPath>,
-    plan: Option<FaultPlan>,
-    scratch: Vec<u8>,
-}
-
-impl Ferry {
-    fn carry(&mut self, wire: Vec<u8>, dst: &mut P5) {
-        let bytes = match &mut self.path {
-            Some(path) => {
-                if !wire.is_empty() {
-                    path.send(&wire);
-                }
-                let k = path.frames_to_drain();
-                if k > 0 {
-                    // +2: delineation hunts across a frame boundary.
-                    path.run_frames(k + 2);
-                }
-                path.recv()
-            }
-            None => wire,
-        };
-        if bytes.is_empty() {
-            return;
-        }
-        match &mut self.plan {
-            None => dst.put_wire_in(&bytes),
-            Some(plan) => {
-                if plan.lose_transfer() {
-                    return;
-                }
-                self.scratch.clear();
-                plan.corrupt_into(&bytes, &mut self.scratch);
-                dst.put_wire_in(&self.scratch);
-            }
-        }
-    }
-
-    fn stats(&self) -> FaultStats {
-        let mut s = self.plan.as_ref().map(|p| p.stats()).unwrap_or_default();
-        if let Some(path) = &self.path {
-            s.absorb(&path.channel().plan().stats());
-        }
-        s
+        HealthCounters::read(&bus, &bus)
     }
 }
 
@@ -571,44 +533,44 @@ impl Ferry {
 pub struct DuplexLink {
     pub a: LinkEnd,
     pub b: LinkEnd,
-    ab: Ferry,
-    ba: Ferry,
+    ab: Carriage,
+    ba: Carriage,
 }
 
 impl DuplexLink {
-    /// Ferry pending wire bytes a → b and b → a, applying each
-    /// direction's fault plan.
+    /// Carry pending wire bytes a → b and b → a, applying each
+    /// direction's fault plan, and hand them to the receiving device.
     pub fn exchange(&mut self) {
-        let wire = self.a.p5.take_wire_out();
-        self.ab.carry(wire, &mut self.b.p5);
-        let wire = self.b.p5.take_wire_out();
-        self.ba.carry(wire, &mut self.a.p5);
+        self.ab.carry(self.a.port.device_mut());
+        self.ab.deliver(&mut self.b.port, usize::MAX);
+        self.ba.carry(self.b.port.device_mut());
+        self.ba.deliver(&mut self.a.port, usize::MAX);
     }
 
     /// Impair both directions with forks of `plan` (deterministic per
     /// direction).  Replaces any existing plan — `clear_fault` heals the
     /// link mid-run, the "outage then recovery" scenario.
     pub fn set_fault(&mut self, plan: &FaultPlan) {
-        self.ab.plan = Some(plan.fork(2));
-        self.ba.plan = Some(plan.fork(3));
+        self.ab.set_plan(Some(plan.fork(2)));
+        self.ba.set_plan(Some(plan.fork(3)));
     }
 
     pub fn clear_fault(&mut self) {
-        self.ab.plan = None;
-        self.ba.plan = None;
+        self.ab.set_plan(None);
+        self.ba.set_plan(None);
     }
 
-    /// Injected-fault counters summed over both directions (ferry plans
-    /// plus the per-direction channel plans).
+    /// Injected-fault counters summed over both directions (carriage
+    /// plans plus the per-direction channel plans).
     pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.ab.stats();
-        s.absorb(&self.ba.stats());
+        let mut s = self.ab.fault_stats();
+        s.absorb(&self.ba.fault_stats());
         s
     }
 
-    /// The duplex stage topology: both devices and both wire ferries as
-    /// a ring (`a → wire → b → wire → a`), for link-level static
-    /// analysis.  The ferries hold whole transfers, so analysis treats
+    /// The duplex stage topology: both devices and both wire carriages
+    /// as a ring (`a → wire → b → wire → a`), for link-level static
+    /// analysis.  The carriages hold whole transfers, so analysis treats
     /// them as buffered stages.
     pub fn topology(&self) -> p5_stream::Topology {
         let mut t = p5_stream::Topology::new("duplex link");

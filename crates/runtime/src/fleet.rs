@@ -15,12 +15,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use p5_core::rx::RxCounters;
-use p5_core::DatapathWidth;
+use p5_core::{DatapathWidth, LinkCounters};
 use p5_fault::{FaultError, FaultSpec, FaultStats};
 use p5_sonet::StmLevel;
 use p5_stream::{to_prometheus, Histogram, SharedRecorder, Snapshot};
 
-use crate::link::{Cohort, Dir, LinkCounters, ShardLink};
+use crate::link::{Cohort, Dir, ShardLink};
 use crate::traffic::TrafficSpec;
 use p5_stream::Offer;
 use p5_xport::LinkEngine;
@@ -148,7 +148,6 @@ impl std::error::Error for RuntimeError {
 /// Per-tick parameters threaded into every cohort.
 #[derive(Debug, Clone)]
 pub(crate) struct TickParams {
-    pub ingress_depth: usize,
     pub cycles_per_tick: u64,
     pub wire_budget: usize,
     pub traffic: Option<TrafficSpec>,
@@ -304,6 +303,7 @@ impl Fleet {
                 if faulted { base_fault.as_ref() } else { None },
                 cfg.seed,
                 payload_len,
+                cfg.ingress_depth,
             )
         };
         let (cohorts, group) = match cfg.carrier {
@@ -390,7 +390,6 @@ impl Fleet {
 
     fn params(&self) -> TickParams {
         TickParams {
-            ingress_depth: self.cfg.ingress_depth,
             cycles_per_tick: self.cfg.cycles_per_tick,
             wire_budget: self.cfg.wire_bytes_per_tick.unwrap_or(usize::MAX),
             traffic: self.cfg.traffic,
@@ -464,9 +463,8 @@ impl Fleet {
 
     /// Offer a frame in an explicit direction.
     pub fn offer_dir(&mut self, link: usize, dir: Dir, protocol: u16, payload: &[u8]) -> Offer {
-        let depth = self.cfg.ingress_depth;
         let (c, slot) = self.locate(link);
-        self.cohorts[c].lock().links[slot].offer(dir, protocol, payload, depth)
+        self.cohorts[c].lock().links[slot].offer(dir, protocol, payload)
     }
 
     /// Advance every cohort by up to `n` ticks, sharded across the
@@ -616,23 +614,14 @@ impl Fleet {
                 });
             }
             for l in &c.links {
-                st.flow.add(&l.counters);
+                st.flow.add(&l.counters());
                 st.latency.merge(&l.latency);
                 st.fault.absorb(&l.fault_stats());
                 st.device_tx_rejects += l.device_tx_rejects();
                 st.oam_tx_rejects += l.oam_tx_rejects();
                 st.tx_frames_sent += l.tx_frames_sent();
                 st.resync_bytes += l.resync_bytes();
-                let (ra, rb) = l.rx_totals();
-                for r in [ra, rb] {
-                    st.rx.frames_ok += r.frames_ok;
-                    st.rx.fcs_errors += r.fcs_errors;
-                    st.rx.aborts += r.aborts;
-                    st.rx.runts += r.runts;
-                    st.rx.giants += r.giants;
-                    st.rx.address_mismatches += r.address_mismatches;
-                    st.rx.header_errors += r.header_errors;
-                }
+                st.rx.add(&l.rx_totals());
             }
         }
         let mean = total_work as f64 / self.cohorts.len() as f64;
@@ -650,21 +639,12 @@ impl Fleet {
         for c in &self.cohorts {
             let c = c.lock();
             for l in &c.links {
-                let (ra, rb) = l.rx_totals();
-                let mut rx = ra;
-                rx.frames_ok += rb.frames_ok;
-                rx.fcs_errors += rb.fcs_errors;
-                rx.aborts += rb.aborts;
-                rx.runts += rb.runts;
-                rx.giants += rb.giants;
-                rx.address_mismatches += rb.address_mismatches;
-                rx.header_errors += rb.header_errors;
                 rows.push(LinkReport {
                     link: l.id,
-                    flow: l.counters,
+                    flow: l.counters(),
                     fault: l.fault_stats(),
                     p99_latency_ticks: l.latency.quantile_bound(0.99),
-                    rx,
+                    rx: l.rx_totals(),
                     resync_bytes: l.resync_bytes(),
                     tx_rejects: l.device_tx_rejects(),
                     ticks: l.ticks(),

@@ -22,14 +22,16 @@
 //!   machinery lifted to fleet scope) lets a cohort's drive loop return
 //!   immediately, so a 10k-link fleet with 100 active links pays for
 //!   100.
-//! * **Graceful overload shedding.**  Each direction has a bounded
-//!   ingress queue in front of the device's bounded TX queue; overflow
-//!   is shed at admission ([`Offer::Shed`]) or rejected by the
-//!   device (counted in `TX_REJECTS`), never silently lost:
+//! * **Graceful overload shedding.**  Each direction is a
+//!   [`p5_core::Port`]: a bounded FIFO in front of the device's bounded
+//!   TX queue.  Overflow is shed at admission ([`Offer::Shed`]) or
+//!   refused by the device (counted in `TX_REJECTS`) and dropped by the
+//!   fleet's policy into `rejected`, never silently lost:
 //!   `offered == accepted + shed + rejected + queued`.
-//! * **Fused fast paths end to end.**  While a link is uncongested,
-//!   frames ride `fused_submit_wire`/`fused_ingest_wire`; the staged
-//!   pipeline clocks only when a device actually has work.
+//! * **Fused fast paths end to end.**  The device decides fused versus
+//!   staged (`P5::transmit`/`P5::ingest`); while a link is uncongested
+//!   every frame rides the fused paths, and the staged pipeline clocks
+//!   only when `P5::staged_busy` says a device has work.
 //!
 //! ```
 //! use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -55,9 +57,8 @@ pub mod traffic;
 pub use fleet::{
     Carrier, Fleet, FleetConfig, FleetStats, LinkReport, RuntimeError, Sharding, WorkerStats,
 };
-#[allow(deprecated)]
-pub use link::OfferOutcome;
-pub use link::{Dir, LinkCounters};
+pub use link::Dir;
+pub use p5_core::LinkCounters;
 pub use p5_stream::Offer;
 pub use p5_xport::LinkEngine;
 pub use traffic::TrafficSpec;

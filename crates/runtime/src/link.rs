@@ -7,55 +7,14 @@
 
 use std::collections::VecDeque;
 
-use p5_core::p5::FUSED_WIRE_HIGH_WATER;
-use p5_core::{TxQueueFull, P5};
+use p5_core::{Carriage, LinkCounters, Port, P5};
 use p5_fault::{FaultPlan, FaultStats};
-use p5_sonet::{BitErrorChannel, ByteLink, OcPath, StmLevel, TributaryGroup};
-use p5_stream::{Histogram, Offer, SharedRecorder, WireBuf};
+use p5_sonet::{BitErrorChannel, OcPath, StmLevel, TributaryGroup};
+use p5_stream::{Histogram, Offer, SharedRecorder};
 use p5_xport::LinkEngine;
 
 use crate::fleet::TickParams;
 use crate::traffic::template_payload;
-
-/// The former name of the unified [`Offer`] outcome type, kept so
-/// pre-redesign callers keep compiling for one release.
-#[deprecated(note = "use `p5_stream::Offer` (re-exported as `p5_runtime::Offer`)")]
-pub type OfferOutcome = Offer;
-
-/// Per-link flow accounting.  The fleet-scope conservation law (the
-/// `StageStats` invariant lifted to the runtime boundary) is
-/// `offered == accepted + shed + rejected + queued`, where `queued`
-/// is whatever still sits in the ingress queues; after a drain,
-/// `queued == 0` and on clean links `delivered == accepted`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkCounters {
-    /// Frames offered to the link (external `offer` + generated load).
-    pub offered: u64,
-    /// Frames that entered the device (fused fast path or the staged
-    /// bounded TX queue).
-    pub accepted: u64,
-    /// Frames refused at the bounded ingress queue.
-    pub shed: u64,
-    /// Frames dropped at the device's bounded TX queue — each one is
-    /// counted by the device in `TX_REJECTS`.
-    pub rejected: u64,
-    /// Frames delivered out of the peer device.
-    pub delivered: u64,
-    /// Payload octets delivered.
-    pub delivered_bytes: u64,
-}
-
-impl LinkCounters {
-    /// Accumulate another link's counters (fleet aggregation).
-    pub fn add(&mut self, o: &LinkCounters) {
-        self.offered += o.offered;
-        self.accepted += o.accepted;
-        self.shed += o.shed;
-        self.rejected += o.rejected;
-        self.delivered += o.delivered;
-        self.delivered_bytes += o.delivered_bytes;
-    }
-}
 
 /// Direction of travel on a duplex link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,232 +23,63 @@ pub enum Dir {
     BtoA,
 }
 
-/// One direction's carriage: wire bytes pending delivery to the sink
-/// device, plus the latency stamps of every accepted-but-undelivered
-/// frame and this direction's fault plan.
-struct DirState {
-    /// Bounded ingress queue (frames admitted but not yet in the
-    /// device).
-    ingress: VecDeque<(u16, Vec<u8>)>,
-    /// Submit-tick of each in-flight accepted frame (FIFO — PPP links
-    /// preserve order), popped at delivery.  Only maintained on
-    /// fault-free links, where no accepted frame can vanish.
+/// One direction of a link: the sending port, the carriage towards the
+/// peer port, and the submit tick of each accepted-but-undelivered
+/// frame (FIFO — PPP links preserve order), popped as the peer
+/// delivers.  Stamps are only kept on fault-free links, where no
+/// accepted frame can vanish.
+struct Lane {
+    port: Port,
+    carriage: Carriage,
     stamps: VecDeque<u64>,
-    /// Post-carrier, post-fault wire bytes awaiting the sink device.
-    wire: WireBuf,
-    /// Optional STM-N transmission convergence for this direction
-    /// (boxed: an `OcPath` holds whole-frame buffers).
-    path: Option<Box<OcPath>>,
-    plan: Option<FaultPlan>,
-    scratch: Vec<u8>,
 }
 
-impl DirState {
-    fn new(path: Option<Box<OcPath>>, plan: Option<FaultPlan>) -> Self {
-        DirState {
-            ingress: VecDeque::new(),
-            stamps: VecDeque::new(),
-            wire: WireBuf::new(),
-            path,
-            plan,
-            scratch: Vec::new(),
-        }
+impl Lane {
+    /// Offer one frame; the fleet's refusal policy is to drop it into
+    /// `rejected` (the device already counted it in `TX_REJECTS`).
+    fn offer(&mut self, protocol: u16, payload: &[u8], stamp: Option<u64>) -> Offer {
+        let accepted = self.port.flow().accepted;
+        let outcome = match self.port.offer(protocol, payload, self.carriage.backlog()) {
+            Ok(outcome) => outcome,
+            Err(refused) => {
+                self.port.reject(refused);
+                Offer::Rejected
+            }
+        };
+        self.stamp(accepted, stamp);
+        outcome
     }
-}
 
-/// Offer one frame to a direction: fused fast path when the device and
-/// the wire are both clear, bounded ingress queue otherwise, shed when
-/// that queue is full.  `stamp` is the submit tick when this link
-/// tracks latency, `None` otherwise.
-fn offer_into(
-    dev: &mut P5,
-    dir: &mut DirState,
-    counters: &mut LinkCounters,
-    protocol: u16,
-    payload: &[u8],
-    stamp: Option<u64>,
-    ingress_depth: usize,
-) -> Offer {
-    counters.offered += 1;
-    if dir.ingress.is_empty()
-        && dir.wire.len() < FUSED_WIRE_HIGH_WATER
-        && dev.fused_submit_wire(protocol, payload, 0)
-    {
-        counters.accepted += 1;
+    /// Move queued frames into the device.  While the carriage backlog
+    /// is at the high-water mark the queue is held (the "blocked" leg of
+    /// the conservation law, retried next tick); a device refusal is
+    /// dropped, one per tick, so the TX queue gets to drain before the
+    /// next probe.
+    fn drain(&mut self, stamp: Option<u64>) {
+        let accepted = self.port.flow().accepted;
+        if let Err(refused) = self.port.drain(self.carriage.backlog()) {
+            self.port.reject(refused);
+        }
+        self.stamp(accepted, stamp);
+    }
+
+    /// Stamp every frame accepted since the `before` reading.
+    fn stamp(&mut self, before: u64, stamp: Option<u64>) {
         if let Some(now) = stamp {
-            dir.stamps.push_back(now);
-        }
-        return Offer::Accepted;
-    }
-    if dir.ingress.len() >= ingress_depth {
-        counters.shed += 1;
-        return Offer::Shed;
-    }
-    let mut buf = dev.lease_tx_buf();
-    buf.extend_from_slice(payload);
-    dir.ingress.push_back((protocol, buf));
-    Offer::Queued
-}
-
-/// Move queued ingress frames into the device.  Fused while the wire is
-/// clear; the staged bounded TX queue as the degradation step; and when
-/// *that* refuses, the frame is dropped through the device's
-/// `TX_REJECTS` accounting (one per tick — the queue gets a chance to
-/// drain before the next probe).  Frames left queued are the "blocked"
-/// leg of the conservation law and are retried next tick.
-fn drain_ingress(
-    dev: &mut P5,
-    dir: &mut DirState,
-    counters: &mut LinkCounters,
-    now: u64,
-    track_latency: bool,
-) {
-    while !dir.ingress.is_empty() {
-        if dir.wire.len() >= FUSED_WIRE_HIGH_WATER {
-            // Line backlog: hold the queue (blocked, not dropped).
-            return;
-        }
-        let (protocol, payload) = dir.ingress.pop_front().expect("checked non-empty");
-        if dev.fused_tx_ready() {
-            let ok = dev.fused_submit_wire(protocol, &payload, 0);
-            debug_assert!(ok, "fused_tx_ready implies fused_submit_wire");
-            dev.buf_pool().recycle_vec(payload);
-            counters.accepted += 1;
-            if track_latency {
-                dir.stamps.push_back(now);
-            }
-            continue;
-        }
-        match dev.submit(protocol, payload) {
-            Ok(()) => {
-                counters.accepted += 1;
-                if track_latency {
-                    dir.stamps.push_back(now);
-                }
-            }
-            Err(TxQueueFull(desc)) => {
-                counters.rejected += 1;
-                dev.buf_pool().recycle_vec(desc.payload);
-                return;
+            for _ in before..self.port.flow().accepted {
+                self.stamps.push_back(now);
             }
         }
     }
 }
 
-/// Carry the source device's produced wire bytes towards the sink:
-/// optionally through this direction's STM-N path, then through the
-/// fault plan, into `dir.wire`.
-fn ferry(src: &mut P5, dir: &mut DirState) {
-    match &mut dir.path {
-        None => {
-            if dir.plan.is_none() {
-                src.drain_wire_into(&mut dir.wire);
-                return;
-            }
-            if !src.has_wire_out() {
-                return;
-            }
-            let bytes = src.take_wire_out();
-            impair_into(
-                dir.plan.as_mut().expect("checked"),
-                &bytes,
-                &mut dir.scratch,
-            );
-            dir.wire.push_slice(&dir.scratch);
-            src.recycle_wire_vec(bytes);
-        }
-        Some(path) => {
-            if src.has_wire_out() {
-                let bytes = src.take_wire_out();
-                path.send(&bytes);
-                src.recycle_wire_vec(bytes);
-            }
-            let k = path.frames_to_drain();
-            if k > 0 {
-                // +2: delineation hunts across a frame boundary.
-                path.run_frames(k + 2);
-            }
-            let out = path.recv();
-            if out.is_empty() {
-                return;
-            }
-            match &mut dir.plan {
-                None => dir.wire.push_slice(&out),
-                Some(plan) => {
-                    impair_into(plan, &out, &mut dir.scratch);
-                    dir.wire.push_slice(&dir.scratch);
-                }
-            }
-        }
-    }
-}
-
-/// Apply one transfer's worth of the fault model: whole-transfer loss,
-/// then the full corruption pipeline into `scratch`.
-fn impair_into(plan: &mut FaultPlan, bytes: &[u8], scratch: &mut Vec<u8>) {
-    scratch.clear();
-    if plan.lose_transfer() {
-        return;
-    }
-    plan.corrupt_into(bytes, scratch);
-}
-
-/// Deliver at most `budget` pending wire octets into the sink device —
-/// fused bulk ingest when eligible, the staged receiver's wire-in
-/// buffer otherwise.
-fn ingest(dst: &mut P5, dir: &mut DirState, budget: usize) {
-    if dir.wire.is_empty() {
-        return;
-    }
-    let max = budget.min(dir.wire.len());
-    if dst.fused_ingest_wire(&mut dir.wire, max).is_none() {
-        dst.offer_wire_from(&mut dir.wire, max);
-    }
-}
-
-/// Collect delivered frames from the sink device, closing latency
-/// stamps and recycling payload storage.
-fn collect(
-    dst: &mut P5,
-    dir: &mut DirState,
-    counters: &mut LinkCounters,
-    latency: &mut Histogram,
-    now: u64,
-    track_latency: bool,
-) {
-    for f in dst.take_received() {
-        counters.delivered += 1;
-        counters.delivered_bytes += f.payload.len() as u64;
-        if track_latency {
-            if let Some(t0) = dir.stamps.pop_front() {
-                latency.observe(now.saturating_sub(t0));
-            }
-        }
-        dst.recycle_rx_payload(f.payload);
-    }
-}
-
-/// Does the device need staged clocking this tick?
-///
-/// Runtime devices never run `idle_fill` mode, even under SONET
-/// carriage: the carrier's own frame fill is the HDLC flag
-/// ([`p5_sonet::frame::IDLE_FILL`]), so inter-frame delineation works
-/// without a continuous device-side flag stream — and the fused TX
-/// fast path (which `idle_fill` disables) stays available in every
-/// carrier mode.
-fn staged_busy(dev: &P5) -> bool {
-    !dev.tx.idle() || !dev.rx.idle() || dev.wire_in_pending() > 0
-}
-
-/// One duplex link in the fleet: two devices, two directions of
-/// carriage, flow accounting and a frame-latency histogram.
+/// One duplex link in the fleet: two ports, each with its outbound
+/// carriage, plus a frame-latency histogram.
 pub(crate) struct ShardLink {
     pub id: usize,
-    a: P5,
-    b: P5,
-    ab: DirState,
-    ba: DirState,
-    pub counters: LinkCounters,
+    /// Device a sends on `ab`; device b on `ba`.
+    ab: Lane,
+    ba: Lane,
     pub latency: Histogram,
     track_latency: bool,
     template: Vec<u8>,
@@ -307,24 +97,21 @@ impl ShardLink {
         base_fault: Option<&FaultPlan>,
         seed: u64,
         payload_len: usize,
+        ingress_depth: usize,
     ) -> Self {
-        let a = P5::new(width);
-        let b = P5::new(width);
-        let make_path = |level: StmLevel| Box::new(OcPath::new(level, BitErrorChannel::clean()));
         let link_id = id as u64;
+        let lane = |lane: u64| Lane {
+            port: Port::new(P5::new(width), ingress_depth),
+            carriage: Carriage::new(
+                sonet.map(|level| OcPath::new(level, BitErrorChannel::clean())),
+                base_fault.map(|p| p.fork_link(link_id, lane)),
+            ),
+            stamps: VecDeque::new(),
+        };
         ShardLink {
             id,
-            a,
-            b,
-            ab: DirState::new(
-                sonet.map(make_path),
-                base_fault.map(|p| p.fork_link(link_id, 0)),
-            ),
-            ba: DirState::new(
-                sonet.map(make_path),
-                base_fault.map(|p| p.fork_link(link_id, 1)),
-            ),
-            counters: LinkCounters::default(),
+            ab: lane(0),
+            ba: lane(1),
             latency: Histogram::new(),
             track_latency: base_fault.is_none(),
             template: template_payload(payload_len, seed, link_id),
@@ -332,13 +119,36 @@ impl ShardLink {
         }
     }
 
+    fn a(&self) -> &P5 {
+        self.ab.port.device()
+    }
+
+    fn b(&self) -> &P5 {
+        self.ba.port.device()
+    }
+
+    fn lane(&mut self, dir: Dir) -> &mut Lane {
+        match dir {
+            Dir::AtoB => &mut self.ab,
+            Dir::BtoA => &mut self.ba,
+        }
+    }
+
+    /// Flow counters of both directions.
+    pub fn counters(&self) -> LinkCounters {
+        let mut c = self.ab.port.flow();
+        c.add(&self.ba.port.flow());
+        c
+    }
+
+    /// Injected faults of both directions' plans (the per-link STM-N
+    /// channels are always clean).
     pub fn fault_stats(&self) -> FaultStats {
         let mut s = FaultStats::default();
-        if let Some(p) = &self.ab.plan {
-            s.absorb(&p.stats());
-        }
-        if let Some(p) = &self.ba.plan {
-            s.absorb(&p.stats());
+        for lane in [&self.ab, &self.ba] {
+            if let Some(p) = lane.carriage.plan() {
+                s.absorb(&p.stats());
+            }
         }
         s
     }
@@ -346,12 +156,12 @@ impl ShardLink {
     /// Device-truth TX-queue refusals, both ends (mirrored to the OAM
     /// `TX_REJECTS` registers by `sync_oam`).
     pub fn device_tx_rejects(&self) -> u64 {
-        self.a.tx.control.submit_rejects + self.b.tx.control.submit_rejects
+        self.a().tx.control.submit_rejects + self.b().tx.control.submit_rejects
     }
 
     /// Both ends' OAM handles (register-bus views for tests/telemetry).
     pub fn oam_handles(&self) -> (p5_core::OamHandle, p5_core::OamHandle) {
-        (self.a.oam.clone(), self.b.oam.clone())
+        (self.a().oam.clone(), self.b().oam.clone())
     }
 
     /// The same refusals as the OAM `TX_REJECTS` registers mirror them
@@ -364,15 +174,18 @@ impl ShardLink {
         Oam::new(a).read(regs::TX_REJECTS) as u64 + Oam::new(b).read(regs::TX_REJECTS) as u64
     }
 
-    pub fn rx_totals(&self) -> (p5_core::rx::RxCounters, p5_core::rx::RxCounters) {
-        (*self.a.rx_counters(), *self.b.rx_counters())
+    /// Receive counters merged over both ends.
+    pub fn rx_totals(&self) -> p5_core::rx::RxCounters {
+        let mut rx = *self.a().rx_counters();
+        rx.add(self.b().rx_counters());
+        rx
     }
 
     /// Receiver resynchronisation cost, both ends: octets skipped while
     /// hunting for a flag after losing delineation — the health
     /// scorer's "resync events" input.
     pub fn resync_bytes(&self) -> u64 {
-        self.a.rx.control.resync_bytes_skipped + self.b.rx.control.resync_bytes_skipped
+        self.a().rx.control.resync_bytes_skipped + self.b().rx.control.resync_bytes_skipped
     }
 
     /// This link's private clock (ticks it has actually executed).
@@ -386,106 +199,57 @@ impl ShardLink {
     pub fn attach_recorders(&mut self, cap: usize) -> (SharedRecorder, SharedRecorder) {
         let ra = SharedRecorder::with_capacity(cap);
         let rb = SharedRecorder::with_capacity(cap);
-        self.a.set_trace(Box::new(ra.clone()));
-        self.b.set_trace(Box::new(rb.clone()));
+        self.ab.port.device_mut().set_trace(Box::new(ra.clone()));
+        self.ba.port.device_mut().set_trace(Box::new(rb.clone()));
         (ra, rb)
     }
 
     pub fn tx_frames_sent(&self) -> u64 {
-        self.a.tx.control.frames_sent + self.b.tx.control.frames_sent
+        self.a().tx.control.frames_sent + self.b().tx.control.frames_sent
     }
 
     /// Offer one frame in `dir`; the external ingress API.
-    pub fn offer(
-        &mut self,
-        dir: Dir,
-        protocol: u16,
-        payload: &[u8],
-        ingress_depth: usize,
-    ) -> Offer {
+    pub fn offer(&mut self, dir: Dir, protocol: u16, payload: &[u8]) -> Offer {
         let stamp = self.track_latency.then_some(self.tick);
-        let (dev, d) = match dir {
-            Dir::AtoB => (&mut self.a, &mut self.ab),
-            Dir::BtoA => (&mut self.b, &mut self.ba),
-        };
-        offer_into(
-            dev,
-            d,
-            &mut self.counters,
-            protocol,
-            payload,
-            stamp,
-            ingress_depth,
-        )
+        self.lane(dir).offer(protocol, payload, stamp)
     }
 
     /// Tick phase 1 — everything up to the device producing wire bytes:
-    /// generated load, ingress drain, staged clocking.
+    /// generated load, FIFO drain, staged clocking.
     pub fn begin_tick(&mut self, p: &TickParams) {
+        let stamp = self.track_latency.then_some(self.tick);
         if let Some(t) = &p.traffic {
             if self.tick < t.ticks {
-                let stamp = self.track_latency.then_some(self.tick);
                 for _ in 0..t.frames_per_tick {
-                    offer_into(
-                        &mut self.a,
-                        &mut self.ab,
-                        &mut self.counters,
-                        t.protocol,
-                        &self.template,
-                        stamp,
-                        p.ingress_depth,
-                    );
+                    self.ab.offer(t.protocol, &self.template, stamp);
                     if t.duplex {
-                        offer_into(
-                            &mut self.b,
-                            &mut self.ba,
-                            &mut self.counters,
-                            t.protocol,
-                            &self.template,
-                            stamp,
-                            p.ingress_depth,
-                        );
+                        self.ba.offer(t.protocol, &self.template, stamp);
                     }
                 }
             }
         }
-        drain_ingress(
-            &mut self.a,
-            &mut self.ab,
-            &mut self.counters,
-            self.tick,
-            self.track_latency,
-        );
-        drain_ingress(
-            &mut self.b,
-            &mut self.ba,
-            &mut self.counters,
-            self.tick,
-            self.track_latency,
-        );
-        if staged_busy(&self.a) {
-            self.a.run(p.cycles_per_tick);
-        }
-        if staged_busy(&self.b) {
-            self.b.run(p.cycles_per_tick);
+        for lane in [&mut self.ab, &mut self.ba] {
+            lane.drain(stamp);
+            let dev = lane.port.device_mut();
+            if dev.staged_busy() {
+                dev.run(p.cycles_per_tick);
+            }
         }
     }
 
     /// Tick phase 2 for self-carried links (Raw wire or per-link
-    /// STM-N): ferry both directions.  Channelized cohorts do this leg
+    /// STM-N): carry both directions.  Channelized cohorts do this leg
     /// through their shared envelope instead.
     pub fn carry_own_wire(&mut self) {
-        ferry(&mut self.a, &mut self.ab);
-        ferry(&mut self.b, &mut self.ba);
+        for lane in [&mut self.ab, &mut self.ba] {
+            lane.carriage.carry(lane.port.device_mut());
+        }
     }
 
     /// Channelized egress: hand one direction's produced wire bytes to
     /// the shared envelope (tributary `slot`).
     pub fn egress_to_envelope(&mut self, dir: Dir, env: &mut TributaryGroup, slot: usize) {
-        let dev = match dir {
-            Dir::AtoB => &mut self.a,
-            Dir::BtoA => &mut self.b,
-        };
+        let dev = self.lane(dir).port.device_mut();
         if dev.has_wire_out() {
             let bytes = dev.take_wire_out();
             env.send(slot, &bytes);
@@ -496,66 +260,47 @@ impl ShardLink {
     /// Channelized ingress: accept one direction's bytes recovered from
     /// the shared envelope (fault plan applied here, per link).
     pub fn ingress_from_envelope(&mut self, dir: Dir, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        let d = match dir {
-            Dir::AtoB => &mut self.ab,
-            Dir::BtoA => &mut self.ba,
-        };
-        match &mut d.plan {
-            None => d.wire.push_slice(bytes),
-            Some(plan) => {
-                impair_into(plan, bytes, &mut d.scratch);
-                let scratch = std::mem::take(&mut d.scratch);
-                d.wire.push_slice(&scratch);
-                d.scratch = scratch;
-            }
-        }
+        self.lane(dir).carriage.impair(bytes);
     }
 
     /// Tick phase 3 — deliver wire into the sink devices (budgeted),
     /// collect received frames, advance the link clock.
     pub fn finish_tick(&mut self, p: &TickParams) {
-        ingest(&mut self.b, &mut self.ab, p.wire_budget);
-        ingest(&mut self.a, &mut self.ba, p.wire_budget);
-        collect(
-            &mut self.b,
-            &mut self.ab,
-            &mut self.counters,
-            &mut self.latency,
-            self.tick,
-            self.track_latency,
-        );
-        collect(
-            &mut self.a,
-            &mut self.ba,
-            &mut self.counters,
-            &mut self.latency,
-            self.tick,
-            self.track_latency,
-        );
+        self.ab.carriage.deliver(&mut self.ba.port, p.wire_budget);
+        self.ba.carriage.deliver(&mut self.ab.port, p.wire_budget);
+        // b delivers what a sent, closing a's stamps, and vice versa.
+        let n = self.ba.port.collect(|f| Some(f.payload));
+        self.close_stamps(Dir::AtoB, n);
+        let n = self.ab.port.collect(|f| Some(f.payload));
+        self.close_stamps(Dir::BtoA, n);
         self.tick += 1;
     }
 
+    /// `n` frames sent in `dir` were delivered this tick.
+    fn close_stamps(&mut self, dir: Dir, n: usize) {
+        let now = self.tick;
+        let stamps = match dir {
+            Dir::AtoB => &mut self.ab.stamps,
+            Dir::BtoA => &mut self.ba.stamps,
+        };
+        for t0 in stamps.drain(..n.min(stamps.len())) {
+            self.latency.observe(now.saturating_sub(t0));
+        }
+    }
+
     /// Anything left for this link to do?  (Generated load pending,
-    /// ingress queued, staged state in flight, or wire in transit.)
+    /// frames queued, staged state in flight, or wire in transit.)
     pub fn has_work(&self, p: &TickParams) -> bool {
         if let Some(t) = &p.traffic {
             if self.tick < t.ticks {
                 return true;
             }
         }
-        !self.ab.ingress.is_empty()
-            || !self.ba.ingress.is_empty()
-            || !self.ab.wire.is_empty()
-            || !self.ba.wire.is_empty()
-            || self.a.has_wire_out()
-            || self.b.has_wire_out()
-            || staged_busy(&self.a)
-            || staged_busy(&self.b)
-            || !self.a.fused_rx_idle()
-            || !self.b.fused_rx_idle()
+        [&self.ab, &self.ba].iter().any(|lane| {
+            !lane.port.is_idle()
+                || lane.carriage.backlog() > 0
+                || !lane.port.device().fused_rx_idle()
+        })
     }
 }
 

@@ -464,3 +464,107 @@ fn remote_endpoint_rides_the_worker_pool() {
     assert_eq!(snap.get("offered"), Some(8));
     peer.shutdown();
 }
+
+/// FNV-1a over a value's `Debug` rendering: a compact fingerprint of a
+/// whole report set, so a pin fails on any field that moves.
+fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Golden replay pin.  Worker-count tests prove one build replays
+/// itself; this proves a refactor replays the build before it.  Each
+/// row is a fixed-seed fleet — every carrier, plus a BER-impaired raw
+/// line and a line-rate-capped raw line — with its total deliveries and
+/// the fingerprint of `link_reports()` plus `FleetStats.fault`, as
+/// recorded before the link shells were rebuilt on `p5_core::Port`.
+#[test]
+fn golden_replay_pin_matches_the_recorded_fleets() {
+    let load = |frames_per_tick, ticks| {
+        Some(TrafficSpec {
+            frames_per_tick,
+            ticks,
+            duplex: true,
+            ..TrafficSpec::default()
+        })
+    };
+    let cases: [(&str, FleetConfig, u64, u64); 5] = [
+        (
+            "raw",
+            FleetConfig {
+                links: 6,
+                traffic: load(3, 20),
+                ..FleetConfig::default()
+            },
+            720,
+            0x9e41ba1e198399eb,
+        ),
+        (
+            "sonet-stm4",
+            FleetConfig {
+                links: 4,
+                carrier: Carrier::Sonet(StmLevel::Stm4),
+                traffic: load(2, 12),
+                ..FleetConfig::default()
+            },
+            192,
+            0x01b5279fd529b34a,
+        ),
+        (
+            "channelized-stm4",
+            FleetConfig {
+                links: 6,
+                carrier: Carrier::Channelized(StmLevel::Stm4),
+                traffic: load(2, 12),
+                ..FleetConfig::default()
+            },
+            288,
+            0xbd7d9ee19da1f5bf,
+        ),
+        (
+            "raw-ber",
+            FleetConfig {
+                links: 6,
+                fault: Some(FaultSpec {
+                    ber: 1e-4,
+                    ..FaultSpec::default()
+                }),
+                seed: 0x5EED,
+                traffic: load(3, 20),
+                ..FleetConfig::default()
+            },
+            577,
+            0xf48ec6e7f0398c82,
+        ),
+        (
+            "raw-capped",
+            FleetConfig {
+                links: 3,
+                ingress_depth: 4,
+                wire_bytes_per_tick: Some(64),
+                traffic: Some(TrafficSpec {
+                    frames_per_tick: 8,
+                    payload_len: 256,
+                    ticks: 40,
+                    ..TrafficSpec::default()
+                }),
+                ..FleetConfig::default()
+            },
+            784,
+            0x3e6779a3fa9a4830,
+        ),
+    ];
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (name, cfg, delivered, print) in cases {
+        let fleet = drained(Fleet::new(FleetConfig { workers: 2, ..cfg }).unwrap());
+        let reports = fleet.link_reports();
+        let total: u64 = reports.iter().map(|r| r.flow.delivered).sum();
+        got.push((name, total, fingerprint(&(&reports, fleet.stats().fault))));
+        want.push((name, delivered, print));
+    }
+    assert_eq!(got, want, "a fleet no longer replays the recorded run");
+}

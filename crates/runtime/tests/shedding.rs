@@ -10,9 +10,12 @@
 //! * no accepted frame is dropped: `delivered == accepted` on clean
 //!   links, with receivers confirming every delivery (`frames_ok`,
 //!   zero FCS/abort/header errors);
-//! * all of it is byte-identical across worker counts.
+//! * all of it is byte-identical across worker counts;
+//! * and it holds on every carrier: bare wire, a per-link STM-N path,
+//!   and tributaries sharing a channelized envelope.
 
-use p5_runtime::{Fleet, FleetConfig, Sharding, TrafficSpec};
+use p5_runtime::{Carrier, Fleet, FleetConfig, Sharding, TrafficSpec};
+use p5_sonet::StmLevel;
 use proptest::prelude::*;
 
 fn drained(cfg: FleetConfig) -> Fleet {
@@ -34,12 +37,21 @@ proptest! {
         payload_len in 1usize..512,
         duplex in any::<bool>(),
         seed in any::<u64>(),
+        carrier_selector in 0usize..3,
     ) {
         // None = uncapped; small caps over-subscribe the line hard.
         let wire_cap = [None, Some(64), Some(256), Some(4096)][cap_selector];
+        // One envelope tributary is an STM-1, so the smallest valid
+        // channelized envelope is an STM-4.
+        let carrier = [
+            Carrier::Raw,
+            Carrier::Sonet(StmLevel::Stm1),
+            Carrier::Channelized(StmLevel::Stm4),
+        ][carrier_selector];
         let fleet = drained(FleetConfig {
             links,
             workers: 3,
+            carrier,
             ingress_depth,
             wire_bytes_per_tick: wire_cap,
             seed,

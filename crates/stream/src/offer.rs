@@ -3,11 +3,9 @@
 //! Every bounded ingress boundary in the workspace — a device's TX
 //! queue, a fleet link's ingress ring, a transport session's staging
 //! queue — answers the same question when handed a frame: did it go in,
-//! and if not, why.  Historically each layer answered in its own
-//! dialect (`Result<(), TxQueueFull>` at the device, a three-variant
-//! `OfferOutcome` at the fleet); `Offer` is the union, defined here in
-//! the lowest common crate so `p5-link`, `p5-runtime` and `p5-xport`
-//! all speak it.
+//! and if not, why.  `Offer` is that answer, defined here in the lowest
+//! common crate so `p5-core`'s `Port` and every link shell built on it
+//! (`p5-link`, `p5-runtime`, `p5-xport`) speak it.
 //!
 //! The variants map onto the conservation law the stats layer already
 //! enforces (`offered == accepted + shed + rejected + queued`): exactly

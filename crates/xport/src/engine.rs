@@ -5,8 +5,8 @@
 //! [`LinkEngine::service`] call makes one pass over the whole path —
 //!
 //! ```text
-//!   offer() ─→ ingress ─→ session ─→ ctl ─→ device ─→ wire out
-//!                                                         │
+//!   offer() ─────────→ Port FIFO ─→ device ─────────→ wire out
+//!          session ─────────┘                             │
 //!            deliveries ←─ session ←─ device ←─ wire in   ▼
 //!                 ▲                       ▲           ByteRing
 //!                 │                       │               │
@@ -24,8 +24,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use p5_core::p5::FUSED_WIRE_HIGH_WATER;
-use p5_core::{DatapathWidth, TxQueueFull, P5};
+use p5_core::{DatapathWidth, Port, P5};
 use p5_ppp::{NegotiationProfile, Protocol, Session, SessionEvent};
 use p5_stream::{Observable, Offer, Snapshot, WireBuf};
 
@@ -35,6 +34,8 @@ use crate::transport::{IoOp, Transport};
 /// Bytes staged toward a stalled peer before egress backpressure
 /// reaches the device (and from there the `offer` boundary).
 const TX_RING_CAPACITY: usize = 64 * 1024;
+/// Socket bytes buffered ahead of the device before reads pause.
+const RX_BUFFER: usize = 64 * 1024;
 /// Read granularity per transport recv.
 const RECV_CHUNK: usize = 4096;
 /// Staged-clock budget per service pass.
@@ -82,7 +83,7 @@ pub struct XportCounters {
     pub io_errors: u64,
     /// Frames offered at the ingress boundary.
     pub offered: u64,
-    /// Offered frames that entered the device.
+    /// Offered frames admitted: in the device, or queued for it.
     pub accepted: u64,
     /// Offered frames refused at the bounded ingress queue (or while
     /// the network phase is down).
@@ -96,25 +97,16 @@ pub struct XportCounters {
     pub delivered_bytes: u64,
 }
 
-/// Does the device need staged clocking?  (Same predicate the fleet
-/// runtime uses — fused paths don't need cycles.)
-fn staged_busy(dev: &P5) -> bool {
-    !dev.tx.idle() || !dev.rx.idle() || dev.wire_in_pending() > 0
-}
-
 /// One real endpoint: device + optional PPP session + transport.
 pub struct LinkEngine {
-    dev: P5,
+    /// The device, with its FIFO of frames awaiting a device slot: user
+    /// frames admitted by `offer` and the session's control output.
+    port: Port,
     /// `None` is *transparent* mode: raw frames in, raw frames out, no
     /// control plane — the determinism harness and protocol-agnostic
     /// carriage.
     session: Option<Session>,
     transport: Box<dyn Transport>,
-    /// Session/control frames awaiting a device slot.
-    ctl: VecDeque<(u16, Vec<u8>)>,
-    /// User frames admitted but not yet in the session/device.
-    ingress: VecDeque<(u16, Vec<u8>)>,
-    ingress_depth: usize,
     /// Device wire-out bytes that did not fit the ring this pass.
     tx_stage: WireBuf,
     tx_ring: ByteRing,
@@ -159,12 +151,9 @@ impl LinkEngine {
         transport: Box<dyn Transport>,
     ) -> Self {
         LinkEngine {
-            dev: P5::new(width),
+            port: Port::new(P5::new(width), 64),
             session,
             transport,
-            ctl: VecDeque::new(),
-            ingress: VecDeque::new(),
-            ingress_depth: 64,
             tx_stage: WireBuf::new(),
             tx_ring: ByteRing::with_capacity(TX_RING_CAPACITY),
             wire_in: WireBuf::new(),
@@ -182,12 +171,12 @@ impl LinkEngine {
 
     /// Cap on frames admitted-but-unsent before `offer` sheds.
     pub fn set_ingress_depth(&mut self, depth: usize) {
-        self.ingress_depth = depth.max(1);
+        self.port.set_depth(depth.max(1));
     }
 
     /// Record this endpoint's frame-lifecycle events into `sink`.
     pub fn set_trace(&mut self, sink: Box<dyn p5_stream::TraceSink + Send>) {
-        self.dev.set_trace(sink);
+        self.port.device_mut().set_trace(sink);
     }
 
     /// Where this endpoint's bytes go (transport description).
@@ -237,24 +226,19 @@ impl LinkEngine {
                 return Offer::Shed;
             }
         }
-        // Fast path: nothing queued ahead and the device's fused TX
-        // will take it now.
-        if self.ingress.is_empty()
-            && self.ctl.is_empty()
-            && self.tx_stage.is_empty()
-            && self.dev.fused_submit_wire(protocol, payload, 0)
-        {
-            self.counters.accepted += 1;
-            return Offer::Accepted;
-        }
-        if self.ingress.len() >= self.ingress_depth {
+        let outcome = match self.port.offer(protocol, payload, self.egress_backlog()) {
+            Ok(outcome) => outcome,
+            Err(refused) => {
+                self.port.requeue(refused);
+                Offer::Queued
+            }
+        };
+        if outcome == Offer::Shed {
             self.counters.shed += 1;
-            return Offer::Shed;
+        } else {
+            self.counters.accepted += 1;
         }
-        let mut buf = self.dev.lease_tx_buf();
-        buf.extend_from_slice(payload);
-        self.ingress.push_back((protocol, buf));
-        Offer::Queued
+        outcome
     }
 
     /// Frames delivered to this endpoint since the last call — IPv4
@@ -272,13 +256,10 @@ impl LinkEngine {
 
     /// Anything queued on our side of the socket?
     pub fn has_local_work(&self) -> bool {
-        !self.ingress.is_empty()
-            || !self.ctl.is_empty()
+        !self.port.is_idle()
             || !self.tx_stage.is_empty()
             || !self.tx_ring.is_empty()
             || !self.wire_in.is_empty()
-            || self.dev.has_wire_out()
-            || staged_busy(&self.dev)
     }
 
     /// Administrative close: terminate the session (the Terminate
@@ -321,56 +302,55 @@ impl LinkEngine {
             }
         }
 
-        // Control plane: admit datagrams, advance timers, collect
-        // output and events.
+        // Control plane: advance timers, queue the session's output
+        // behind the FIFO, surface its events.
         if let Some(session) = &mut self.session {
-            while session.is_network_up() && !self.ingress.is_empty() {
-                let (_, payload) = self.ingress.pop_front().expect("checked non-empty");
-                session.send_datagram(payload);
-                self.counters.accepted += 1;
-                progress = true;
-            }
             session.tick(self.now);
-            for frame in session.poll_output() {
-                self.ctl.push_back(frame);
+            for (protocol, frame) in session.poll_output() {
+                self.port.push(protocol, frame);
             }
             for ev in session.poll_events() {
-                match ev {
-                    SessionEvent::Datagram(data) => {
-                        self.counters.delivered += 1;
-                        self.counters.delivered_bytes += data.len() as u64;
-                        self.deliveries.push_back((Protocol::Ipv4.number(), data));
-                    }
-                    other => self.events.push_back(other),
-                }
-            }
-        } else {
-            // Transparent mode: user frames go straight to the device.
-            while let Some((protocol, payload)) = self.ingress.pop_front() {
-                self.ctl.push_back((protocol, payload));
-                self.counters.accepted += 1;
-                progress = true;
+                surface(
+                    ev,
+                    &mut self.counters,
+                    &mut self.deliveries,
+                    &mut self.events,
+                );
             }
         }
 
-        progress |= self.flush_ctl();
-
-        if staged_busy(&self.dev) {
-            progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
-        }
-
+        progress |= self.flush();
+        progress |= self.clock_staged();
         progress |= self.stage_wire_out();
         self.idle_fill();
         progress |= self.pump_socket_out();
         progress |= self.pump_socket_in();
-        progress |= self.ingest_wire_in();
-
-        if staged_busy(&self.dev) {
-            progress |= self.dev.run_until_idle(CLOCK_BUDGET) > 0;
-        }
-
+        progress |= self.port.ingest(&mut self.wire_in, usize::MAX) > 0;
+        progress |= self.clock_staged();
         progress |= self.collect_received();
         progress
+    }
+
+    /// Wire this endpoint has produced but the socket has not taken.
+    fn egress_backlog(&self) -> usize {
+        self.tx_stage.len() + self.tx_ring.len()
+    }
+
+    /// Move the FIFO into the device while egress has room.  A frame
+    /// the device refuses is requeued, never dropped: it is retried
+    /// once the device drains.
+    fn flush(&mut self) -> bool {
+        let before = self.port.flow().accepted;
+        if let Err(refused) = self.port.drain(self.egress_backlog()) {
+            self.port.requeue(refused);
+        }
+        self.port.flow().accepted > before
+    }
+
+    /// Clock the staged pipeline through whatever it holds.
+    fn clock_staged(&mut self) -> bool {
+        let dev = self.port.device_mut();
+        dev.staged_busy() && dev.run_until_idle(CLOCK_BUDGET) > 0
     }
 
     /// Pipe (re)created.  First time starts the session; later times
@@ -407,35 +387,6 @@ impl LinkEngine {
         }
     }
 
-    /// Move queued control/user frames into the device — fused when
-    /// clear, the staged TX queue as the degradation step, retrying
-    /// (not dropping) when even that refuses.
-    fn flush_ctl(&mut self) -> bool {
-        let mut progress = false;
-        while let Some((protocol, payload)) = self.ctl.pop_front() {
-            if self.tx_stage.len() + self.tx_ring.len() >= TX_RING_CAPACITY {
-                // Egress backlog: hold the queue, backpressure stands.
-                self.ctl.push_front((protocol, payload));
-                break;
-            }
-            if self.dev.fused_tx_ready() && self.dev.fused_submit_wire(protocol, &payload, 0) {
-                self.dev.buf_pool().recycle_vec(payload);
-                progress = true;
-                continue;
-            }
-            match self.dev.submit(protocol, payload) {
-                Ok(()) => progress = true,
-                Err(TxQueueFull(desc)) => {
-                    // Control frames are never dropped here: requeue
-                    // and let the device drain first.
-                    self.ctl.push_front((desc.protocol, desc.payload));
-                    break;
-                }
-            }
-        }
-        progress
-    }
-
     /// Device wire-out → ring (staging the overflow).
     fn stage_wire_out(&mut self) -> bool {
         let mut progress = false;
@@ -445,16 +396,17 @@ impl LinkEngine {
             self.tx_stage.consume(taken);
             progress = true;
         }
-        while self.dev.has_wire_out() {
+        let dev = self.port.device_mut();
+        while dev.has_wire_out() {
             if !self.tx_stage.is_empty() || self.tx_ring.free() == 0 {
                 break; // keep the backlog bounded at device side
             }
-            let bytes = self.dev.take_wire_out();
+            let bytes = dev.take_wire_out();
             let taken = self.tx_ring.push(&bytes);
             if taken < bytes.len() {
                 self.tx_stage.push_slice(&bytes[taken..]);
             }
-            self.dev.recycle_wire_vec(bytes);
+            dev.recycle_wire_vec(bytes);
             progress = true;
         }
         progress
@@ -470,7 +422,7 @@ impl LinkEngine {
             || !self.transport.established()
             || !self.tx_ring.is_empty()
             || !self.tx_stage.is_empty()
-            || self.dev.has_wire_out()
+            || self.port.device().has_wire_out()
             || self.passes.wrapping_sub(self.last_fill_pass) < IDLE_FILL_INTERVAL
         {
             return;
@@ -514,11 +466,11 @@ impl LinkEngine {
         progress
     }
 
-    /// Socket → wire-in buffer, bounded by the fused high-water mark.
+    /// Socket → wire-in buffer, bounded by [`RX_BUFFER`].
     fn pump_socket_in(&mut self) -> bool {
         let mut progress = false;
         let mut chunk = [0u8; RECV_CHUNK];
-        while self.wire_in.len() < FUSED_WIRE_HIGH_WATER && self.transport.established() {
+        while self.wire_in.len() < RX_BUFFER && self.transport.established() {
             match self.transport.recv(&mut chunk) {
                 Ok(IoOp::Did(n)) => {
                     self.wire_in.push_slice(&chunk[..n]);
@@ -543,51 +495,51 @@ impl LinkEngine {
         progress
     }
 
-    /// Wire-in buffer → device (fused bulk ingest when eligible).
-    fn ingest_wire_in(&mut self) -> bool {
-        if self.wire_in.is_empty() {
-            return false;
-        }
-        let max = self.wire_in.len().min(FUSED_WIRE_HIGH_WATER);
-        if self.dev.fused_ingest_wire(&mut self.wire_in, max).is_none() {
-            self.dev.offer_wire_from(&mut self.wire_in, max);
-        }
-        true
-    }
-
     /// Device deliveries → session (or straight out, transparent).
     fn collect_received(&mut self) -> bool {
-        let mut progress = false;
-        for frame in self.dev.take_received() {
-            progress = true;
-            match &mut self.session {
-                Some(session) => {
-                    session.receive(frame.protocol, &frame.payload);
-                    self.dev.recycle_rx_payload(frame.payload);
-                    // Surface what the receive produced without waiting
-                    // for the next pass.
-                    for out in session.poll_output() {
-                        self.ctl.push_back(out);
-                    }
-                    for ev in session.poll_events() {
-                        match ev {
-                            SessionEvent::Datagram(data) => {
-                                self.counters.delivered += 1;
-                                self.counters.delivered_bytes += data.len() as u64;
-                                self.deliveries.push_back((Protocol::Ipv4.number(), data));
-                            }
-                            other => self.events.push_back(other),
-                        }
-                    }
+        let (session, counters) = (&mut self.session, &mut self.counters);
+        let (deliveries, events) = (&mut self.deliveries, &mut self.events);
+        let mut replies = Vec::new();
+        let n = self.port.collect(|frame| match session {
+            Some(session) => {
+                session.receive(frame.protocol, &frame.payload);
+                // Surface what the receive produced without waiting for
+                // the next pass.
+                replies.extend(session.poll_output());
+                for ev in session.poll_events() {
+                    surface(ev, counters, deliveries, events);
                 }
-                None => {
-                    self.counters.delivered += 1;
-                    self.counters.delivered_bytes += frame.payload.len() as u64;
-                    self.deliveries.push_back((frame.protocol, frame.payload));
-                }
+                Some(frame.payload)
             }
+            None => {
+                counters.delivered += 1;
+                counters.delivered_bytes += frame.payload.len() as u64;
+                deliveries.push_back((frame.protocol, frame.payload));
+                None
+            }
+        });
+        for (protocol, frame) in replies {
+            self.port.push(protocol, frame);
         }
-        progress
+        n > 0
+    }
+}
+
+/// Route one session event: datagrams to the owner's deliveries, the
+/// rest to its event queue.
+fn surface(
+    ev: SessionEvent,
+    counters: &mut XportCounters,
+    deliveries: &mut VecDeque<(u16, Vec<u8>)>,
+    events: &mut VecDeque<SessionEvent>,
+) {
+    match ev {
+        SessionEvent::Datagram(data) => {
+            counters.delivered += 1;
+            counters.delivered_bytes += data.len() as u64;
+            deliveries.push_back((Protocol::Ipv4.number(), data));
+        }
+        other => events.push_back(other),
     }
 }
 

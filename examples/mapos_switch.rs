@@ -266,7 +266,10 @@ fn main() {
     // bottleneck finder, not a raw snapshot dump).
     let mut stalls: Vec<(String, u64, u64)> = Vec::new();
     for port in &ports {
-        for (end, dev) in [("station", &port.link.a.p5), ("switch", &port.link.b.p5)] {
+        for (end, dev) in [
+            ("station", port.link.a.device()),
+            ("switch", port.link.b.device()),
+        ] {
             for snap in [dev.tx.snapshot(), dev.rx.snapshot()] {
                 stalls.push((
                     format!("{} {end} {}", port.name, snap.scope),

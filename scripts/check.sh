@@ -17,6 +17,13 @@ cargo build -q --offline --examples
 echo "==> cargo test (workspace)"
 cargo test -q --workspace --offline
 
+echo "==> perfbench build + self-tests"
+# The benchmark package (its own [workspace], path deps on the crates'
+# public APIs) is not a workspace member, so the steps above never
+# compile it: a crate API change that breaks it would otherwise only
+# show when the benchmark runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo doc (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
