@@ -25,7 +25,7 @@
 
 use p5_bench::{heading, imix_sizes, ip_like_datagram};
 use p5_core::DatapathWidth;
-use p5_fault::FaultSpec;
+use p5_fault::{FaultKind, FaultSpec};
 use p5_hdlc::{DeframeEvent, Deframer, DeframerConfig, Framer, FramerConfig};
 use p5_link::{LinkBuilder, LinkEnd};
 use p5_ppp::lqr::{QualityDelta, QualityPolicy, QualityTracker};
@@ -102,37 +102,13 @@ fn link_scenario(name: &'static str, spec: FaultSpec, seed: u64, n: usize) -> Sc
             corrupt += 1;
         }
     }
-    // Injected-fault counters, as the observability layer exports them.
-    let mut injected = Vec::new();
-    for snap in link.snapshots() {
-        if snap.scope == "fault" {
-            for key in [
-                "fault_bit_error",
-                "fault_burst",
-                "fault_slip",
-                "fault_duplicate",
-                "fault_truncate",
-                "fault_abort",
-                "fault_spurious_flag",
-                "fault_stall",
-            ] {
-                if let Some(v) = snap.get(key) {
-                    if v > 0 {
-                        injected.push((key.to_string(), v));
-                    }
-                }
-            }
-        }
-        if snap.scope == "oc-path" {
-            for key in ["bits_flipped", "bursts_injected"] {
-                if let Some(v) = snap.get(key) {
-                    if v > 0 {
-                        injected.push((key.to_string(), v));
-                    }
-                }
-            }
-        }
-    }
+    // Injected-fault counters: the carriage plan's plus the channel's.
+    let faults = link.fault_stats();
+    let injected = FaultKind::ALL
+        .iter()
+        .filter(|&&kind| faults.count(kind) > 0)
+        .map(|&kind| (format!("fault_{}", kind.name()), faults.count(kind)))
+        .collect();
     ScenarioOut {
         name,
         seed,

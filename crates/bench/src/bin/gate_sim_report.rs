@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading};
 use p5_fpga::{CompiledSim, Netlist, Sim, LANES};
 use p5_lint::shipped_netlists;
 
@@ -73,13 +73,6 @@ fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
         std::thread::sleep(std::time::Duration::from_millis(15));
     }
     best
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() {

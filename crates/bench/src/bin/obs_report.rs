@@ -25,7 +25,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading};
 use p5_fault::FaultSpec;
 use p5_obs::{serve, Collector, CollectorConfig, HealthState};
 use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -73,13 +73,6 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read response");
     out
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() {

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading};
 use p5_runtime::{Carrier, Fleet, FleetConfig, Sharding, TrafficSpec};
 use p5_sonet::StmLevel;
 
@@ -107,13 +107,6 @@ fn sweep_config(links: usize, budget: usize, sharding: Sharding, carrier: Carrie
         }),
         ..FleetConfig::default()
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() {

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram};
+use p5_bench::{arg_value, heading, imix_sizes, ip_like_datagram};
 use p5_core::{encap, DatapathWidth, RxStage, TxStage, P5};
 use p5_fpga::devices;
 use p5_rtl::synthesize_system;
@@ -158,14 +158,6 @@ fn fast_path_run(width: DatapathWidth, datagrams: usize) -> FastPathRun {
 /// EXPERIMENTS.md) — the denominators for the `sim_wall_uplift` column.
 const SIM_WALL_BASELINE_W8: f64 = 0.0388;
 const SIM_WALL_BASELINE_W32: f64 = 0.1716;
-
-/// Parse `--flag <value>` from the argument list.
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

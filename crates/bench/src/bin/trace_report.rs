@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use p5_bench::{heading, imix_sizes, ip_like_datagram};
+use p5_bench::{arg_value, heading, imix_sizes, ip_like_datagram};
 use p5_core::{encap_tagged, DatapathWidth, RxStage, TxStage, P5};
 use p5_link::LinkBuilder;
 use p5_runtime::{Fleet, FleetConfig, TrafficSpec};
@@ -288,13 +288,6 @@ fn scan_number(json: &str, anchor: &str, field: &str) -> Option<f64> {
         .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
         .unwrap_or(tail.len());
     tail[..end].parse().ok()
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 fn main() {

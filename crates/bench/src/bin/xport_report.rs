@@ -24,19 +24,13 @@
 
 use std::time::{Duration, Instant};
 
-use p5_bench::heading;
+use p5_bench::{arg_value, heading};
 use p5_link::LinkBuilder;
 use p5_ppp::NegotiationProfile;
+use p5_stream::Observable;
 use p5_xport::{PipeTransport, SessionDriver, TcpTransport};
 
 const IPV4: u16 = 0x0021;
-
-fn arg_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn profile(magic: u32, ip: [u8; 4]) -> NegotiationProfile {
     NegotiationProfile::new().magic(magic).ip(ip)
@@ -174,9 +168,16 @@ fn main() {
     // First wait for the Down edge — sampling immediately after the
     // sever still sees both sessions up (the engines observe the
     // closed lanes on their next pass), which would time a vacuous
-    // "reconnect" of zero.
+    // "reconnect" of zero.  A re-established pipe also marks the edge:
+    // on a busy host the whole Down → Up bounce can fall between two
+    // samples.
+    let reconnects = |d: &SessionDriver| d.snapshot().get("reconnects").unwrap_or(0);
+    let reconnects_before = reconnects(&a) + reconnects(&b);
     let down_deadline = severed + Duration::from_secs(30);
-    while a.is_network_up() && b.is_network_up() {
+    while a.is_network_up()
+        && b.is_network_up()
+        && reconnects(&a) + reconnects(&b) == reconnects_before
+    {
         assert!(
             Instant::now() < down_deadline,
             "sever was never observed by the sessions"

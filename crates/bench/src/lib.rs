@@ -61,6 +61,15 @@ pub fn heading(title: &str) -> String {
     format!("\n{}\n{}\n", title, "=".repeat(title.len()))
 }
 
+/// The number after `flag` on a report binary's command line; `None`
+/// when the flag is absent or its value does not parse.
+pub fn arg_value(args: &[String], flag: &str) -> Option<f64> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

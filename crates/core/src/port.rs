@@ -25,9 +25,9 @@
 
 use std::collections::VecDeque;
 
-use p5_fault::{FaultPlan, FaultStats};
+use p5_fault::{FaultKind, FaultPlan, FaultStats};
 use p5_sonet::{ByteLink, OcPath};
-use p5_stream::{Offer, WireBuf};
+use p5_stream::{Event, EventKind, Offer, TraceSink, WireBuf};
 
 use crate::p5::{ReceivedFrame, FUSED_WIRE_HIGH_WATER, P5};
 use crate::tx::TxQueueFull;
@@ -209,9 +209,15 @@ impl Port {
     }
 }
 
+/// Octets one handshake moves from a [`Carriage`] into its sink while
+/// the fault plan draws stall storms.
+const STALL_HANDSHAKE: usize = 256;
+
 /// One direction of self-carried wire: the source device's octets go
 /// through an optional STM-N path, then an optional fault plan, into a
-/// backlog awaiting the sink [`Port`].
+/// backlog awaiting the sink [`Port`].  The plan's stall storms hold
+/// the backlog at the sink (a deasserted ready); storms are bounded, so
+/// a carrier that keeps delivering always drains.
 pub struct Carriage {
     /// Boxed: an `OcPath` holds whole-frame buffers.
     path: Option<Box<OcPath>>,
@@ -219,6 +225,9 @@ pub struct Carriage {
     /// Carried octets not yet taken by the sink (the backlog figure).
     wire: WireBuf,
     scratch: Vec<u8>,
+    sink: Option<Box<dyn TraceSink + Send>>,
+    /// `carry`/`impair`/`deliver` calls, the trace clock.
+    calls: u64,
 }
 
 impl Carriage {
@@ -228,12 +237,25 @@ impl Carriage {
             plan,
             wire: WireBuf::new(),
             scratch: Vec::new(),
+            sink: None,
+            calls: 0,
         }
+    }
+
+    /// Install a trace sink: each injected fault (the plan's and the
+    /// STM-N channel's) becomes an `EventKind::Fault { kind }` event
+    /// stamped with the carriage's call count.
+    pub fn set_trace(&mut self, sink: Box<dyn TraceSink + Send>) {
+        self.sink = sink.enabled().then_some(sink);
     }
 
     /// Octets carried but not yet delivered to the sink.
     pub fn backlog(&self) -> usize {
         self.wire.len()
+    }
+
+    pub fn path(&self) -> Option<&OcPath> {
+        self.path.as_deref()
     }
 
     pub fn plan(&self) -> Option<&FaultPlan> {
@@ -258,34 +280,46 @@ impl Carriage {
     /// enough line frames to flush it), then the fault plan, into the
     /// backlog.
     pub fn carry(&mut self, src: &mut P5) {
-        let Some(path) = &mut self.path else {
-            if self.plan.is_none() {
+        let before = self.begin_call();
+        match &mut self.path {
+            None if self.plan.is_none() => {
                 src.drain_wire_into(&mut self.wire);
-            } else if src.has_wire_out() {
-                let bytes = src.take_wire_out();
-                self.impair(&bytes);
-                src.recycle_wire_vec(bytes);
             }
-            return;
-        };
-        if src.has_wire_out() {
-            let bytes = src.take_wire_out();
-            path.send(&bytes);
-            src.recycle_wire_vec(bytes);
+            None => {
+                if src.has_wire_out() {
+                    let bytes = src.take_wire_out();
+                    self.push_impaired(&bytes);
+                    src.recycle_wire_vec(bytes);
+                }
+            }
+            Some(path) => {
+                if src.has_wire_out() {
+                    let bytes = src.take_wire_out();
+                    path.send(&bytes);
+                    src.recycle_wire_vec(bytes);
+                }
+                let k = path.frames_to_drain();
+                if k > 0 {
+                    // +2: delineation hunts across a frame boundary.
+                    path.run_frames(k + 2);
+                }
+                let out = path.recv();
+                self.push_impaired(&out);
+            }
         }
-        let k = path.frames_to_drain();
-        if k > 0 {
-            // +2: delineation hunts across a frame boundary.
-            path.run_frames(k + 2);
-        }
-        let out = path.recv();
-        self.impair(&out);
+        self.trace_faults(before);
     }
 
     /// Append one transfer through the fault plan: whole-transfer loss
     /// first, then the corruption pipeline.  Bytes recovered by a
     /// carrier of its own (a channelized envelope) enter here.
     pub fn impair(&mut self, bytes: &[u8]) {
+        let before = self.begin_call();
+        self.push_impaired(bytes);
+        self.trace_faults(before);
+    }
+
+    fn push_impaired(&mut self, bytes: &[u8]) {
         if bytes.is_empty() {
             return;
         }
@@ -302,8 +336,137 @@ impl Carriage {
         }
     }
 
-    /// Deliver up to `max` backlog octets into the sink port.
+    /// Deliver up to `max` backlog octets into the sink port.  Under a
+    /// plan with stall storms the octets cross in handshakes of up to
+    /// 256 octets, one gate draw each; a refused handshake ends the
+    /// call and holds the rest of the backlog, so a storm of `n`
+    /// refusals holds it for `n` calls.
     pub fn deliver(&mut self, dst: &mut Port, max: usize) -> usize {
-        dst.ingest(&mut self.wire, max)
+        if self.plan.as_ref().is_none_or(|p| p.spec().stall.is_none()) {
+            return dst.ingest(&mut self.wire, max);
+        }
+        let before = self.begin_call();
+        let mut moved = 0;
+        while moved < max && !self.wire.is_empty() {
+            if self.plan.as_mut().is_some_and(FaultPlan::stall_gate) {
+                break;
+            }
+            moved += dst.ingest(&mut self.wire, STALL_HANDSHAKE.min(max - moved));
+        }
+        self.trace_faults(before);
+        moved
+    }
+
+    /// Count one call; with tracing on, the fault counts before it.
+    fn begin_call(&mut self) -> Option<FaultStats> {
+        self.calls += 1;
+        self.sink.is_some().then(|| self.fault_stats())
+    }
+
+    /// Emit one `Fault` event per kind that fired since `before`.
+    fn trace_faults(&mut self, before: Option<FaultStats>) {
+        let Some(before) = before else {
+            return;
+        };
+        let after = self.fault_stats();
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        for kind in FaultKind::ALL {
+            for _ in before.count(kind)..after.count(kind) {
+                sink.record(Event {
+                    cycle: self.calls,
+                    kind: EventKind::Fault { kind: kind.name() },
+                });
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::p5::DatapathWidth;
+    use p5_fault::FaultSpec;
+    use p5_stream::SharedRecorder;
+
+    /// Carry one frame from a fresh transmitter across `wire` into a
+    /// fresh receiving port, delivering until the backlog is gone.
+    fn carry_frame(wire: &mut Carriage, payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut src = P5::new(DatapathWidth::W32);
+        let mut dst = Port::new(P5::new(DatapathWidth::W32), 0);
+        src.transmit(0x0021, payload, 0).unwrap();
+        wire.carry(&mut src);
+        for _ in 0..10_000 {
+            if wire.backlog() == 0 {
+                break;
+            }
+            wire.deliver(&mut dst, usize::MAX);
+        }
+        let mut got = Vec::new();
+        dst.collect(|f| {
+            got.push(f.payload);
+            None
+        });
+        got
+    }
+
+    #[test]
+    fn clean_plan_is_transparent() {
+        let mut wire = Carriage::new(None, Some(FaultPlan::clean(1)));
+        let got = carry_frame(&mut wire, b"across the boundary");
+        assert_eq!(got, vec![b"across the boundary".to_vec()]);
+        assert_eq!(wire.backlog(), 0);
+        assert_eq!(wire.fault_stats().total_injected(), 0);
+    }
+
+    #[test]
+    fn storms_hold_the_backlog_and_bounded_storms_drain() {
+        // p_start = 1: every delivery attempt is refused as storms re-arm.
+        let plan = FaultSpec::clean().stall(1.0, 4).compile(2).unwrap();
+        let mut wire = Carriage::new(None, Some(plan));
+        let mut dst = Port::new(P5::new(DatapathWidth::W32), 0);
+        wire.impair(b"held");
+        assert_eq!(wire.deliver(&mut dst, usize::MAX), 0);
+        assert_eq!(wire.backlog(), 4, "a storm holds the backlog");
+        // Storms are bounded, so a carrier that keeps delivering drains.
+        let plan = FaultSpec::clean().stall(0.5, 4).compile(3).unwrap();
+        let mut wire = Carriage::new(None, Some(plan));
+        let payload = vec![0x55u8; 1000];
+        assert_eq!(carry_frame(&mut wire, &payload), vec![payload]);
+        let stats = wire.fault_stats();
+        assert!(stats.stalls > 0 && stats.stall_cycles >= stats.stalls);
+    }
+
+    #[test]
+    fn injected_faults_become_trace_events() {
+        let plan = FaultSpec::clean().spurious_flag(0.05).compile(9).unwrap();
+        let rec = SharedRecorder::with_capacity(512);
+        let mut wire = Carriage::new(None, Some(plan));
+        wire.set_trace(Box::new(rec.clone()));
+        wire.impair(&[0u8; 500]);
+        let events = rec.events();
+        assert!(!events.is_empty(), "flag injections traced");
+        assert!(events.iter().all(|e| e.kind
+            == EventKind::Fault {
+                kind: "spurious_flag"
+            }));
+        assert_eq!(
+            events.len() as u64,
+            wire.fault_stats().flags_injected,
+            "one event per injection"
+        );
+    }
+
+    #[test]
+    fn fault_snapshot_counts_traffic_and_injections() {
+        let plan = FaultSpec::clean().ber(1e-2).compile(4).unwrap();
+        let mut wire = Carriage::new(None, Some(plan));
+        wire.impair(&[0xFFu8; 2000]);
+        let snap = wire.fault_stats().snapshot();
+        assert_eq!(snap.scope, "fault");
+        assert_eq!(snap.get("fault_bytes_processed"), Some(2000));
+        assert!(snap.get("fault_bit_error").unwrap() > 0);
+        assert_eq!(wire.backlog(), 2000, "bit errors preserve length");
     }
 }

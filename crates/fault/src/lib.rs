@@ -7,8 +7,8 @@
 //! proves it.  A [`FaultSpec`] describes an impairment mix (uniform and
 //! Gilbert–Elliott burst bit errors, byte slip/duplication/truncation,
 //! injected aborts and spurious flags, stall storms, whole-transfer
-//! loss); [`FaultPlan::compile`] binds it to a seed; a [`FaultStage`]
-//! composes the plan into any `WordStream` boundary.
+//! loss); [`FaultPlan::compile`] binds it to a seed; a link's wire
+//! (`p5_core::Carriage`, the SONET `BitErrorChannel`) applies it.
 //!
 //! Two properties are load-bearing:
 //!
@@ -16,15 +16,13 @@
 //!   sequence for the same byte stream, regardless of how the stream is
 //!   chunked across `offer` calls.  Every RNG draw is a function of the
 //!   byte stream and prior draws only, so soak failures replay exactly.
-//! * **Boundedness** — stall storms are finite ([`StallStorm::max_len`])
-//!   and `FaultStage::finish` releases any storm in progress, so a
-//!   faulted `Stack` can always drain; chaos never wedges the harness.
+//! * **Boundedness** — stall storms are finite ([`StallStorm::max_len`]),
+//!   so a faulted wire that keeps being driven always drains; chaos never
+//!   wedges the harness.
 //!
 //! See DESIGN.md §14 for the fault model and the recovery invariants the
 //! rest of the workspace checks against it.
 
 mod plan;
-mod stage;
 
 pub use plan::{BurstModel, FaultError, FaultKind, FaultPlan, FaultSpec, FaultStats, StallStorm};
-pub use stage::FaultStage;

@@ -517,9 +517,9 @@ impl FaultPlan {
     }
 
     /// One backpressure decision: `true` means "deassert ready this
-    /// handshake".  Storms are bounded by [`StallStorm::max_len`];
-    /// [`FaultPlan::release_stall`] cancels one early (used by
-    /// `FaultStage::finish` so chaos never wedges a draining stack).
+    /// handshake".  Storms are bounded by [`StallStorm::max_len`], so a
+    /// carrier that keeps offering always gets through;
+    /// [`FaultPlan::release_stall`] cancels one early.
     pub fn stall_gate(&mut self) -> bool {
         if self.stall_remaining > 0 {
             self.stall_remaining -= 1;

@@ -1,9 +1,9 @@
 //! p5-link — the one way to assemble a P⁵ link.
 //!
 //! Every example, integration test and bench binary used to hand-wire
-//! its own stack: pick stage constructors, remember the idle-fill bit,
-//! compute the cycles-per-frame budget, clone the OAM handle before the
-//! device moves into the stack.  [`LinkBuilder`] owns that recipe once:
+//! its own link: pick the devices, the SONET path and the fault plan,
+//! decide how the wire is driven, keep the OAM handles reachable.
+//! [`LinkBuilder`] owns that recipe once:
 //!
 //! ```
 //! use p5_link::LinkBuilder;
@@ -24,23 +24,22 @@
 //! assert_eq!(got.len() as u64 + link.rx_errors(), 1);
 //! ```
 //!
-//! [`LinkBuilder::build`] yields a simplex [`Link`] (one `Stack`:
-//! `TxStage → [OcPathStage] → [FaultStage] → RxStage`);
-//! [`LinkBuilder::build_duplex`] yields a [`DuplexLink`] — two devices
-//! and a seeded, optionally-impaired carriage between them — for the
-//! control-plane (LCP/IPCP) scenarios that need traffic both ways.
+//! [`LinkBuilder::build`] yields a simplex [`Link`]: a transmit
+//! [`Port`], a [`Carriage`] (the optional STM-N path and fault plan) and
+//! a receive [`Port`] — the same core every link shell is built on
+//! (DESIGN.md §19).  [`LinkBuilder::build_duplex`] yields a
+//! [`DuplexLink`] — two devices and one carriage per direction — for
+//! the control-plane (LCP/IPCP) scenarios that need traffic both ways.
 //!
 //! The raw `stack!` macro remains the supported low-level escape hatch
 //! for custom topologies; this crate is the paved road.
 
-use p5_core::oam::{regs, MmioBus, Oam, OamHandle};
-use p5_core::{
-    decap, encap, Carriage, DatapathWidth, Port, ReceivedFrame, RxStage, TxQueueFull, TxStage, P5,
-};
-use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStage, FaultStats};
+use p5_core::oam::{regs, MmioBus, Oam};
+use p5_core::{Carriage, DatapathWidth, Port, ReceivedFrame, TxQueueFull, P5};
+use p5_fault::{FaultError, FaultPlan, FaultSpec, FaultStats};
 use p5_ppp::NegotiationProfile;
-use p5_sonet::{BitErrorChannel, OcPath, OcPathStage, StmLevel};
-use p5_stream::{Offer, SharedRecorder, Snapshot, Stack, StageStats, StreamStage};
+use p5_sonet::{BitErrorChannel, OcPath, StmLevel};
+use p5_stream::{Observable, Offer, SharedRecorder, Snapshot, Topology};
 use p5_xport::{LinkEngine, SessionDriver, Transport};
 use std::error::Error;
 use std::fmt;
@@ -51,7 +50,7 @@ use std::fmt;
 pub enum LinkError {
     /// The fault spec attached to the builder failed to compile.
     Fault(FaultError),
-    /// The stack did not drain within the step budget.
+    /// The link did not drain within the step budget.
     Stalled { steps: usize },
     /// [`LinkBuilder::build_remote`] needs a transport
     /// ([`LinkBuilder::transport`]).
@@ -116,17 +115,17 @@ impl LinkBuilder {
     }
 
     /// Carry the wire over an STM-N path (scramble → frame → channel →
-    /// delineate → descramble).  Also switches the transmitter to
-    /// continuous (idle-fill) mode so the framer never pads mid-frame.
+    /// delineate → descramble).
     pub fn sonet(mut self, level: StmLevel) -> Self {
         self.sonet = Some(level);
         self
     }
 
-    /// Impair the wire with a compiled fault plan.  The length-
-    /// preserving faults (BER, bursts) apply inside the transmission
-    /// channel; structural faults and stall storms get a [`FaultStage`]
-    /// on the delineated byte stream.
+    /// Impair the wire with a compiled fault plan.  Over an STM-N path
+    /// the length-preserving faults (BER, bursts) apply inside the
+    /// transmission channel and the rest (structural faults, stall
+    /// storms, transfer loss) on the delineated byte stream; a raw wire
+    /// takes the whole plan.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -158,13 +157,17 @@ impl LinkBuilder {
         self.width.unwrap_or(DatapathWidth::W32)
     }
 
-    /// Split the configured plan into its channel (bit-level) and stage
-    /// (structural + stall) halves, each compiled from the plan's own
-    /// seed on a distinct lane.
+    /// Split the configured plan into its STM-N channel (bit-level) and
+    /// carriage (structural, stall, loss) halves, each compiled from the
+    /// plan's own seed on a distinct lane.  A raw wire has no channel:
+    /// the carriage takes the whole plan.
     fn split_fault(&self) -> Result<(Option<FaultPlan>, Option<FaultPlan>), LinkError> {
         let Some(plan) = &self.fault else {
             return Ok((None, None));
         };
+        if self.sonet.is_none() {
+            return Ok((None, Some(plan.clone())));
+        }
         let spec = plan.spec().clone();
         let bit = if spec.ber > 0.0 || spec.burst.is_some() {
             let bit_spec = FaultSpec {
@@ -190,77 +193,49 @@ impl LinkBuilder {
         Ok((bit, structural))
     }
 
-    fn new_device(&self, idle_fill: bool) -> P5 {
+    /// The wire of one direction, from the [`LinkBuilder::split_fault`]
+    /// halves: taken as they are (`lane` `None`, the simplex link) or
+    /// forked per direction.
+    fn carriage(
+        &self,
+        (bit, wire): &(Option<FaultPlan>, Option<FaultPlan>),
+        lane: Option<u64>,
+    ) -> Carriage {
+        let fork = |plan: &FaultPlan| match lane {
+            Some(lane) => plan.fork(lane),
+            None => plan.clone(),
+        };
+        let path = self.sonet.map(|level| {
+            let channel = match bit {
+                Some(plan) => BitErrorChannel::from_plan(fork(plan)),
+                None => BitErrorChannel::clean(),
+            };
+            OcPath::new(level, channel)
+        });
+        let mut carriage = Carriage::new(path, wire.as_ref().map(fork));
+        if let Some(rec) = &self.trace {
+            carriage.set_trace(Box::new(rec.clone()));
+        }
+        carriage
+    }
+
+    fn new_device(&self) -> P5 {
         let mut dev = P5::new(self.width_or_default());
-        dev.tx.escape.idle_fill = idle_fill;
         if let Some(rec) = &self.trace {
             dev.set_trace(Box::new(rec.clone()));
         }
         dev
     }
 
-    /// One transmit device, one receive device, one `Stack` between
-    /// them, assembled with the canonical line-rate clocking recipe.
+    /// A transmit port, one carriage and a receive port.
     pub fn build(self) -> Result<Link, LinkError> {
-        let (bit, structural) = self.split_fault()?;
-        let tx = self.new_device(self.sonet.is_some());
-        let rx = self.new_device(false);
-        let (tx_oam, rx_oam) = (tx.oam.clone(), rx.oam.clone());
-        let mut stages: Vec<Box<dyn StreamStage>> = Vec::new();
-        match self.sonet {
-            Some(level) => {
-                // Line-rate clocking: one SPE of wire bytes per 125 µs
-                // frame, with a few surplus cycles to keep the SPE queue
-                // primed through pipeline fill.
-                let cpf = level
-                    .payload_per_frame()
-                    .div_ceil(self.width_or_default().bytes()) as u64
-                    + 8;
-                let channel = match bit {
-                    Some(plan) => BitErrorChannel::from_plan(plan),
-                    None => BitErrorChannel::clean(),
-                };
-                stages.push(Box::new(TxStage::with_burst(tx, cpf)));
-                stages.push(Box::new(OcPathStage::new(OcPath::new(level, channel))));
-                if let Some(plan) = structural {
-                    stages.push(Box::new(self.faulted_stage(plan)));
-                }
-                stages.push(Box::new(RxStage::with_burst(rx, 2 * cpf)));
-            }
-            None => {
-                stages.push(Box::new(TxStage::new(tx)));
-                // No SONET path: the whole plan (bit + structural) acts
-                // directly on the stuffed byte stream.
-                match (bit, structural) {
-                    (None, None) => {}
-                    (bit, structural) => {
-                        let mut merged = structural.unwrap_or_else(|| FaultPlan::clean(0));
-                        if let Some(b) = bit {
-                            // Recompose: one stage carrying the full spec.
-                            let mut spec = merged.spec().clone();
-                            spec.ber = b.spec().ber;
-                            spec.burst = b.spec().burst;
-                            merged = spec.compile(self.fault.as_ref().map_or(0, |p| p.seed()))?;
-                        }
-                        stages.push(Box::new(self.faulted_stage(merged)));
-                    }
-                }
-                stages.push(Box::new(RxStage::new(rx)));
-            }
-        }
+        let split = self.split_fault()?;
         Ok(Link {
-            stack: Stack::compose(stages),
-            tx_oam,
-            rx_oam,
+            tx: Port::new(self.new_device(), usize::MAX),
+            wire: self.carriage(&split, None),
+            rx: Port::new(self.new_device(), 0),
+            delivered: Vec::new(),
         })
-    }
-
-    fn faulted_stage(&self, plan: FaultPlan) -> FaultStage {
-        let mut stage = FaultStage::new(plan);
-        if let Some(rec) = &self.trace {
-            stage.set_trace(Box::new(rec.clone()));
-        }
-        stage
     }
 
     /// Two devices and a seeded carriage between them, for control-plane
@@ -268,23 +243,12 @@ impl LinkBuilder {
     /// plan, if any, is forked per direction; with [`LinkBuilder::sonet`]
     /// each direction carries its own STM-N path.
     pub fn build_duplex(self) -> Result<DuplexLink, LinkError> {
-        let (bit, structural) = self.split_fault()?;
-        let idle_fill = self.sonet.is_some();
-        let carriage = |lane: u64| {
-            let path = self.sonet.map(|level| {
-                let channel = match &bit {
-                    Some(plan) => BitErrorChannel::from_plan(plan.fork(lane)),
-                    None => BitErrorChannel::clean(),
-                };
-                OcPath::new(level, channel)
-            });
-            Carriage::new(path, structural.as_ref().map(|p| p.fork(lane)))
-        };
+        let split = self.split_fault()?;
         Ok(DuplexLink {
-            a: LinkEnd::new(self.new_device(idle_fill)),
-            b: LinkEnd::new(self.new_device(idle_fill)),
-            ab: carriage(0),
-            ba: carriage(1),
+            a: LinkEnd::new(self.new_device()),
+            b: LinkEnd::new(self.new_device()),
+            ab: self.carriage(&split, Some(0)),
+            ba: self.carriage(&split, Some(1)),
         })
     }
 
@@ -322,51 +286,96 @@ impl LinkBuilder {
     }
 }
 
-/// A simplex link: transmit device → (optional SONET path, optional
-/// fault stage) → receive device, as one composed [`Stack`].
+/// Device clocks per burst while a device's staged pipeline holds work
+/// (the fused paths need none).
+const STEP_CYCLES: u64 = 256;
+
+/// Bursts one [`Link::run`] step may spend clocking the transmitter
+/// through its staged work; a bound only for a device that cannot
+/// finish (its transmitter disabled over OAM).
+const MAX_TX_BURSTS: usize = 1 << 16;
+
+/// A simplex link: a transmit [`Port`] with an unbounded FIFO (so
+/// [`Link::send`] never refuses), a [`Carriage`] and a receive [`Port`].
 pub struct Link {
-    stack: Stack,
-    tx_oam: OamHandle,
-    rx_oam: OamHandle,
+    tx: Port,
+    wire: Carriage,
+    rx: Port,
+    delivered: Vec<(u16, Vec<u8>)>,
 }
 
 impl Link {
-    /// Queue one datagram for transmission.
+    /// Queue one datagram for transmission: straight to wire bytes when
+    /// the device is clear, otherwise into the transmit FIFO.
     pub fn send(&mut self, protocol: u16, payload: &[u8]) {
-        encap(protocol, payload, self.stack.input());
+        if let Err(refused) = self.tx.offer(protocol, payload, self.wire.backlog()) {
+            self.tx.requeue(refused);
+        }
     }
 
-    /// Sweep the stack until it drains, then flush (SPE backlog plus
-    /// flag fill).  Delivered frames wait in [`Link::deliveries`].
+    /// Step the link until both ports and the wire are idle.  Each step
+    /// drains the transmit FIFO, clocks a device only while its staged
+    /// pipeline holds work, carries the wire, delivers it and collects
+    /// the received frames, which wait in [`Link::deliveries`].
     pub fn run(&mut self, max_steps: usize) -> Result<(), LinkError> {
-        if !self.stack.run_until_idle(max_steps) {
-            return Err(LinkError::Stalled { steps: max_steps });
+        let mut steps = 0;
+        while !self.is_idle() {
+            if steps == max_steps {
+                return Err(LinkError::Stalled { steps });
+            }
+            self.step();
+            steps += 1;
         }
-        self.stack.finish();
         Ok(())
+    }
+
+    fn is_idle(&self) -> bool {
+        self.tx.is_idle() && self.wire.backlog() == 0 && self.rx.is_idle()
+    }
+
+    fn step(&mut self) {
+        // A device refusal goes back to the head of the FIFO: a simplex
+        // link never drops what `send` took.
+        if let Err(refused) = self.tx.drain(self.wire.backlog()) {
+            self.tx.requeue(refused);
+        }
+        // Staged transmit work is clocked through before the wire moves,
+        // so the carriage only ever takes whole frames: an STM-N path
+        // pads what it is handed with fill, which would split a frame.
+        let tx = self.tx.device_mut();
+        for _ in 0..MAX_TX_BURSTS {
+            if !tx.staged_busy() {
+                break;
+            }
+            tx.run(STEP_CYCLES);
+        }
+        let rx = self.rx.device_mut();
+        if rx.staged_busy() {
+            rx.run(STEP_CYCLES);
+        }
+        self.wire.carry(self.tx.device_mut());
+        self.wire.deliver(&mut self.rx, usize::MAX);
+        let delivered = &mut self.delivered;
+        self.rx.collect(|f| {
+            delivered.push((f.protocol, f.payload.to_vec()));
+            Some(f.payload)
+        });
     }
 
     /// Everything delivered so far, decapsulated to `(protocol,
     /// payload)` in arrival order.
     pub fn deliveries(&mut self) -> Vec<(u16, Vec<u8>)> {
-        let mut out = Vec::new();
-        let mut frame = Vec::new();
-        while self.stack.output().pop_frame_into(&mut frame).is_some() {
-            if let Some((proto, payload)) = decap(&frame) {
-                out.push((proto, payload.to_vec()));
-            }
-        }
-        out
+        std::mem::take(&mut self.delivered)
     }
 
     /// Register-bus view of the transmit device's OAM block.
     pub fn tx_oam(&self) -> Oam {
-        Oam::new(self.tx_oam.clone())
+        Oam::new(self.tx.device().oam.clone())
     }
 
     /// Register-bus view of the receive device's OAM block.
     pub fn rx_oam(&self) -> Oam {
-        Oam::new(self.rx_oam.clone())
+        Oam::new(self.rx.device().oam.clone())
     }
 
     /// Total receive-side error count, summed over the OAM error
@@ -383,37 +392,64 @@ impl Link {
         HealthCounters::read(&self.rx_oam(), &self.tx_oam())
     }
 
-    /// Per-stage flow counters (name, stats) in pipeline order.
-    pub fn stage_stats(&self) -> Vec<(&'static str, StageStats)> {
-        self.stack.stage_stats()
+    /// Injected faults: the carriage plan's plus the STM-N channel's.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.wire.fault_stats()
     }
 
-    /// Metrics snapshot of every stage.
+    /// Metrics snapshot of each part, in wire order: `p5-tx`, `oc-path`
+    /// (with an STM-N path), `fault` (with a carriage fault plan) and
+    /// `p5-rx`.
     pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.stack.snapshots()
+        let (tx, rx) = (self.tx.device(), self.rx.device());
+        let (tx_flow, rx_flow) = (self.tx.flow(), self.rx.flow());
+        let mut snaps = vec![device_snapshot("p5-tx", tx.cycles, &tx.tx)
+            .counter("offered", tx_flow.offered)
+            .counter("accepted", tx_flow.accepted)];
+        if let Some(path) = self.wire.path() {
+            let mut s = Snapshot::new("oc-path");
+            s.merge(&path.section_stats().snapshot());
+            s.merge(&path.channel().stats().snapshot());
+            snaps.push(s);
+        }
+        if self.wire.plan().is_some() {
+            snaps.push(self.fault_stats().snapshot());
+        }
+        snaps.push(
+            device_snapshot("p5-rx", rx.cycles, &rx.rx)
+                .counter("delivered", rx_flow.delivered)
+                .counter("delivered_bytes", rx_flow.delivered_bytes),
+        );
+        snaps
     }
 
-    /// The stall-attribution table (DESIGN.md §13).
-    pub fn stall_table(&self) -> String {
-        self.stack.stall_table()
+    /// The stage topology of this link (`p5-tx → wire → p5-rx`), for
+    /// link-level static analysis (p5-lint composes per-stage handshake
+    /// contracts over it).  The carriage holds whole transfers, so
+    /// analysis treats it as a buffered stage.
+    pub fn topology(&self) -> Topology {
+        let wire = if self.wire.path().is_some() {
+            "oc-path"
+        } else {
+            "wire"
+        };
+        Topology::chain(
+            "simplex link",
+            vec!["p5-tx".into(), wire.into(), "p5-rx".into()],
+        )
     }
+}
 
-    /// The stage topology of this link, for link-level static analysis
-    /// (p5-lint composes per-stage handshake contracts over it).
-    pub fn topology(&self) -> p5_stream::Topology {
-        let mut t = self.stack.topology();
-        t.name = "simplex link".into();
-        t
+/// One device half as a snapshot under `scope`: the device clock plus
+/// the pipeline's own tallies (whose `cycles` the device clock replaces).
+fn device_snapshot(scope: &str, cycles: u64, pipeline: &dyn Observable) -> Snapshot {
+    let mut s = Snapshot::new(scope).counter("cycles", cycles);
+    for (name, value) in pipeline.snapshot().counters {
+        if name != "cycles" {
+            s.push_counter(name, value);
+        }
     }
-
-    /// The underlying stack — the escape hatch for custom sweeps.
-    pub fn stack_mut(&mut self) -> &mut Stack {
-        &mut self.stack
-    }
-
-    pub fn stack(&self) -> &Stack {
-        &self.stack
-    }
+    s
 }
 
 /// The health-relevant OAM counters of one link, read in one pass via
@@ -572,8 +608,8 @@ impl DuplexLink {
     /// as a ring (`a → wire → b → wire → a`), for link-level static
     /// analysis.  The carriages hold whole transfers, so analysis treats
     /// them as buffered stages.
-    pub fn topology(&self) -> p5_stream::Topology {
-        let mut t = p5_stream::Topology::new("duplex link");
+    pub fn topology(&self) -> Topology {
+        let mut t = Topology::new("duplex link");
         let a = t.push_stage("device a");
         let ab = t.push_stage("wire a->b");
         let b = t.push_stage("device b");
@@ -589,6 +625,7 @@ impl DuplexLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p5_stream::EventKind;
 
     #[test]
     fn build_remote_negotiates_over_a_pipe_pair() {
@@ -663,19 +700,69 @@ mod tests {
 
     #[test]
     fn sonet_link_uses_the_canonical_recipe() {
-        let mut link = LinkBuilder::new()
-            .width(DatapathWidth::W32)
-            .sonet(StmLevel::Stm4)
-            .build()
-            .unwrap();
-        let payloads: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 50 + i as usize]).collect();
-        for p in &payloads {
-            link.send(0x0021, p);
+        // ~100 KB of wire: past the 64 KiB fused mark, so part of the
+        // burst runs through the staged transmitter too.
+        let payloads: Vec<Vec<u8>> = (0..100u32)
+            .map(|i| vec![(i * 7) as u8; 900 + i as usize])
+            .collect();
+        for level in [
+            None,
+            Some(StmLevel::Stm1),
+            Some(StmLevel::Stm4),
+            Some(StmLevel::Stm16),
+        ] {
+            for width in [DatapathWidth::W8, DatapathWidth::W32] {
+                let mut builder = LinkBuilder::new().width(width);
+                if let Some(level) = level {
+                    builder = builder.sonet(level);
+                }
+                let mut link = builder.build().unwrap();
+                for p in &payloads {
+                    link.send(0x0021, p);
+                }
+                link.run(5_000).unwrap();
+                let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
+                assert!(
+                    got == payloads,
+                    "{level:?} {width:?}: {} delivered",
+                    got.len()
+                );
+                assert_eq!(link.rx_errors(), 0, "{level:?} {width:?}");
+            }
         }
-        link.run(5_000).unwrap();
-        let got: Vec<Vec<u8>> = link.deliveries().into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, payloads);
-        assert_eq!(link.rx_errors(), 0);
+    }
+
+    #[test]
+    fn transfer_loss_is_honoured_on_the_simplex_link() {
+        let plan = FaultSpec::clean().transfer_loss(1.0).compile(5).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build().unwrap();
+        for i in 0..10u8 {
+            link.send(0x0021, &[i; 64]);
+        }
+        link.run(1_000).unwrap();
+        assert!(link.deliveries().is_empty(), "every transfer lost");
+        assert!(link.fault_stats().transfers_lost > 0);
+        assert_eq!(link.rx_errors(), 0, "lost, not corrupted");
+    }
+
+    #[test]
+    fn stall_storms_delay_but_never_lose() {
+        let spec = FaultSpec::clean().stall(0.3, 16);
+        for sonet in [None, Some(StmLevel::Stm4)] {
+            let mut builder = LinkBuilder::new().fault(spec.clone().compile(8).unwrap());
+            if let Some(level) = sonet {
+                builder = builder.sonet(level);
+            }
+            let mut link = builder.build().unwrap();
+            for i in 0..30u8 {
+                link.send(0x0021, &[i; 200]);
+                link.run(1_000).unwrap();
+            }
+            assert_eq!(link.deliveries().len(), 30, "{sonet:?}");
+            assert!(link.fault_stats().stalls > 0, "{sonet:?}: storms injected");
+            let fault = link.snapshots().into_iter().find(|s| s.scope == "fault");
+            assert!(fault.unwrap().get("fault_stall").unwrap() > 0);
+        }
     }
 
     #[test]
@@ -727,6 +814,47 @@ mod tests {
     }
 
     #[test]
+    fn trace_records_the_carriage_faults() {
+        let spec = FaultSpec::clean().spurious_flag(0.01);
+        let rec = SharedRecorder::with_capacity(1 << 14);
+        let mut link = LinkBuilder::new()
+            .fault(spec.clone().compile(12).unwrap())
+            .trace(rec.clone())
+            .build()
+            .unwrap();
+        for i in 0..20u8 {
+            link.send(0x0021, &[i; 100]);
+        }
+        link.run(1_000).unwrap();
+        let faults = |rec: &SharedRecorder| {
+            rec.events()
+                .iter()
+                .filter(|e| {
+                    e.kind
+                        == EventKind::Fault {
+                            kind: "spurious_flag",
+                        }
+                })
+                .count() as u64
+        };
+        assert!(link.fault_stats().flags_injected > 0);
+        assert_eq!(faults(&rec), link.fault_stats().flags_injected);
+
+        let rec = SharedRecorder::with_capacity(1 << 14);
+        let mut duplex = LinkBuilder::new()
+            .fault(spec.compile(13).unwrap())
+            .trace(rec.clone())
+            .build_duplex()
+            .unwrap();
+        for i in 0..20u8 {
+            duplex.a.submit(0x0021, vec![i; 100]).unwrap();
+            duplex.exchange();
+        }
+        assert!(duplex.fault_stats().flags_injected > 0);
+        assert_eq!(faults(&rec), duplex.fault_stats().flags_injected);
+    }
+
+    #[test]
     fn duplex_link_carries_traffic_both_ways() {
         let mut link = LinkBuilder::new().build_duplex().unwrap();
         link.a.submit(0x0021, vec![1, 2, 3]).unwrap();
@@ -741,6 +869,30 @@ mod tests {
         assert_eq!(at_b.len(), 1);
         assert_eq!(at_b[0].payload, vec![1, 2, 3]);
         assert_eq!(at_a[0].payload, vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn duplex_stall_storms_are_honoured() {
+        let plan = FaultSpec::clean().stall(0.1, 16).compile(6).unwrap();
+        let mut link = LinkBuilder::new().fault(plan).build_duplex().unwrap();
+        let mut got = (0, 0);
+        for i in 0..2_000u32 {
+            if i < 20 {
+                link.a.submit(0x0021, vec![i as u8; 300]).unwrap();
+                link.b.submit(0x0021, vec![i as u8; 300]).unwrap();
+            }
+            link.a.run(64);
+            link.b.run(64);
+            link.exchange();
+            got.0 += link.b.take_received().len();
+            got.1 += link.a.take_received().len();
+            if got == (20, 20) {
+                break;
+            }
+        }
+        assert_eq!(got, (20, 20), "storms delay, they do not drop");
+        let stats = link.fault_stats();
+        assert!(stats.stalls > 0 && stats.stall_cycles >= stats.stalls);
     }
 
     #[test]

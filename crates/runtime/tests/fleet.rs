@@ -201,6 +201,41 @@ fn line_rate_cap_backpressures_without_losing_frames() {
 }
 
 #[test]
+fn stall_storms_hold_the_wire_and_lose_nothing() {
+    // A storm holds a carriage's backlog (ready deasserted) for a
+    // bounded run of deliveries: the fleet still drains, and a pure
+    // delay fault loses no frame on any self-carried wire.
+    for carrier in [Carrier::Raw, Carrier::Sonet(StmLevel::Stm1)] {
+        let fleet = drained(
+            Fleet::new(FleetConfig {
+                links: 4,
+                workers: 2,
+                carrier,
+                fault: Some(FaultSpec::clean().stall(0.2, 8)),
+                traffic: Some(TrafficSpec {
+                    frames_per_tick: 2,
+                    ticks: 32,
+                    duplex: true,
+                    ..TrafficSpec::default()
+                }),
+                ..FleetConfig::default()
+            })
+            .unwrap(),
+        );
+        let st = fleet.stats();
+        assert!(st.fault.stalls > 0, "{carrier:?}: storms injected");
+        assert!(st.fault.stall_cycles >= st.fault.stalls);
+        assert_eq!(
+            st.flow.offered,
+            st.flow.accepted + st.flow.shed + st.flow.rejected,
+            "{carrier:?}: conservation after drain"
+        );
+        assert_eq!(st.flow.delivered, st.flow.accepted, "{carrier:?}");
+        assert_eq!(st.rx.fcs_errors + st.rx.aborts + st.rx.header_errors, 0);
+    }
+}
+
+#[test]
 fn construction_errors() {
     assert!(matches!(
         Fleet::new(FleetConfig {

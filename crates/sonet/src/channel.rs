@@ -9,7 +9,8 @@
 //! rest of the chaos harness uses.  Only the bit-level (length-
 //! preserving) faults apply here — a physical section can flip payload
 //! bits under the scrambler, but byte slips and fabricated flags are
-//! stream-level faults injected by a `FaultStage` above the path.
+//! stream-level faults, applied by the link's carriage to the byte
+//! stream the path delivers.
 
 use p5_fault::{FaultPlan, FaultSpec};
 

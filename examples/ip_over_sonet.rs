@@ -7,7 +7,7 @@
 //!
 //! with the Protocol OAM counters read out over the register bus at the
 //! end, exactly as a host microprocessor would.  The whole assembly —
-//! idle-fill mode, line-rate clocking, the seeded error channel — comes
+//! the STM-16 path, its drive step and the seeded error channel — comes
 //! from [`LinkBuilder`] (DESIGN.md §14).
 //!
 //! ```sh
@@ -18,9 +18,9 @@ use p5::prelude::*;
 
 fn main() {
     // An OC-48 path with a 1e-6 bit error rate (a poor-quality section).
-    // The builder switches the transmitter to continuous (idle-fill)
-    // mode and clocks one SPE of wire bytes per 125 µs frame, exactly as
-    // the hardware is driven.
+    // The path runs as many 125 µs frames as the queued wire needs, and
+    // fills every SPE octet the transmitter leaves empty with the HDLC
+    // flag, so delineation holds between frames.
     let plan = FaultSpec::clean()
         .ber(1e-6)
         .compile(42)
@@ -52,27 +52,28 @@ fn main() {
             gi += 1;
         }
     }
-    for (name, st) in link.stage_stats() {
-        println!(
-            "stage {name:>12}: cycles={} words_in={} bytes_out={} stalls={} rejects={}",
-            st.cycles, st.words_in, st.bytes_out, st.stall_cycles, st.rejects
-        );
+    // Where the wire went: each part's non-zero headline counters
+    // (DESIGN.md §13; `render_table(&link.snapshots())` adds the
+    // per-unit tallies) and the faults the channel injected.
+    for snap in link.snapshots() {
+        let headline: Vec<String> = snap
+            .counters
+            .iter()
+            .filter(|(name, v)| {
+                *v > 0
+                    && !["control_", "crc_", "escape_"]
+                        .iter()
+                        .any(|u| name.starts_with(u))
+            })
+            .map(|(name, v)| format!("{name}={v}"))
+            .collect();
+        println!("{:>8}: {}", snap.scope, headline.join(" "));
     }
-
-    // Where did cycles go?  The top three stall attributions, not the
-    // full per-stage snapshot dump (`link.stall_table()` has the whole
-    // boundary table when needed — DESIGN.md §13).
-    let mut stages = link.stage_stats();
-    stages.sort_by_key(|(_, st)| std::cmp::Reverse(st.stall_cycles));
-    println!("\ntop stall attributions:");
-    for (name, st) in stages.iter().take(3) {
-        println!(
-            "  {name:>12}: {:>7} stalled cycles of {:>8} ({:.1}%)",
-            st.stall_cycles,
-            st.cycles,
-            100.0 * st.stall_cycles as f64 / st.cycles.max(1) as f64
-        );
-    }
+    let faults = link.fault_stats();
+    println!(
+        "injected: bit_errors={} bursts={} over {} line octets",
+        faults.bit_errors, faults.bursts, faults.bytes_processed
+    );
 
     // The link's health verdict, from the same OAM counters the live
     // collector scores (DESIGN.md §17) — here as a one-shot end-of-run

@@ -11,7 +11,7 @@ use p5::prelude::*;
 
 fn main() {
     // Two P⁵ devices wired back to back (Figure 2, both directions):
-    // transmit-stage → receive-stage, with the OAM handles kept
+    // transmit port → wire → receive port, with the OAM handles kept
     // reachable for the counter read-out at the end.
     let mut link = LinkBuilder::new()
         .width(DatapathWidth::W32)
@@ -40,7 +40,7 @@ fn main() {
     println!("round trip OK — flag 7E was stuffed to 7D 5E on the wire and restored.");
 
     // The same counters, as the observability layer exports them: one
-    // Snapshot per stage (see DESIGN.md §13).
+    // Snapshot per part of the link (see DESIGN.md §13).
     println!(
         "\nfinal metrics snapshot:\n{}",
         render_table(&link.snapshots())

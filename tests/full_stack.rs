@@ -8,10 +8,9 @@ use p5::prelude::*;
 /// Push `datagrams` through P⁵ → OC path → P⁵ as one [`Link`]; returns
 /// (delivered payloads, receiver error total).
 ///
-/// The builder clocks the transmitter in continuous (idle-fill) mode at
-/// exactly the line rate — one SPE's worth of wire bytes per 125 µs
-/// frame — as the real hardware is, so the SONET framer never has to
-/// invent fill octets in the middle of an HDLC frame.
+/// The transmitter runs in plain duty (fused when clear); the SONET path
+/// fills every SPE octet it has no wire bytes for with the HDLC flag, so
+/// fill only ever lands between frames, never inside one.
 fn run_stack(
     width: DatapathWidth,
     level: StmLevel,
